@@ -17,7 +17,7 @@ chain, 2 oracles, 1_000_000 + i ensemble chain i, 3_000_000 + 2p (+1) the
 two chains of pair p.
 
 Exit codes: 0 success (all criteria pass for ``validate``), 1 config error,
-2 numerical failure, 3 validation failure.
+2 numerical failure (for ``sweep-n``: any failed row), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -394,21 +394,25 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
 
     The level d comes from the config when pinned and otherwise from the
     default rule evaluated on the first feasible row, then stays fixed so
-    the sweep probes how the remaining constants move with n alone.
+    the sweep probes how the remaining constants move with n alone.  Every
+    row and the manifest are written even when some rows fail; the exit
+    code is then _EXIT_NUMERICAL.
     """
+    if "file" in cfg.data_source:
+        raise ConfigError("sweep-n synthesises its data for each n; "
+                          "use a data.synth config, not data.file")
     started = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     d_fixed = cfg.small_set_d
     nan = float("nan")
+    synth = cfg.data_source["synth"]
     for n in n_list:
-        data_cfg = dict(cfg.data_source.get("synth", {"center": 0.1, "exact_center": True}))
-        data_cfg["n"] = n
         try:
             ds = synth_dataset(
-                int(n), float(data_cfg["center"]), cfg.model,
+                int(n), float(synth["center"]), cfg.model,
                 RngStream(cfg.seed, DATA_STREAM),
-                exact_center=bool(data_cfg.get("exact_center", False)),
+                exact_center=bool(synth.get("exact_center", False)),
             )
             if d_fixed is None:
                 spec = cfg.resolve_large_set(ds)
@@ -432,8 +436,9 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
         rows,
     )
     RunManifest.write(out_dir, "sweep-n", cfg, started, [csv_path])
-    print(f"wrote {csv_path} ({sum(1 for r in rows if r[-1] == 'ok')}/{len(rows)} rows ok)")
-    return _EXIT_OK
+    n_ok = sum(1 for r in rows if r[-1] == "ok")
+    print(f"wrote {csv_path} ({n_ok}/{len(rows)} rows ok)")
+    return _EXIT_OK if n_ok == len(rows) else _EXIT_NUMERICAL
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -13,6 +13,27 @@ N(theta_bar0, A0/n) over the box corners.  The volume is the product
 
 with F(mu) = integral over theta_bar of inf_A N(mean(mu,A), var(A); theta_bar).
 
+Every infimum over the A side of the box is attained at a_low or a_high,
+so each is the smaller of the two endpoint values.  Write u = A/(V+A),
+which increases with A.  Each A-family below rises and then falls (in A0
+for the mu stage, in u for the other two), so its infimum over an interval
+sits at an endpoint:
+
+* mu stage.  With sigma^2 = A0/n and y the distance from mu to the far
+  corner, d/dsigma^2 log N(y; 0, sigma^2) is proportional to
+  y^2 - sigma^2, which changes sign once, from + to -.
+* theta_bar stage.  The density is N(mu + u*c, V*u/n; theta_bar); with
+  x = theta_bar - mu and c = y_bar - mu its log g satisfies
+  2u^2 g'(u) = (n/V)(x^2 - c^2 u^2) - u, which is >= 0 at u = 0 and
+  strictly decreasing.
+* S stage.  The density is that of k*u^2 + (V*u/r) * chi2_r with
+  r = n-1 and k = delta/r; on its support s > k*u^2 its log h satisfies
+  u^2 (s - k u^2) h'(u) = r s^2/(2V) - (r s/2) u - (r/2 - 2) k u^3
+  - (r k^2/(2V)) u^4, which is > 0 at u = 0 and strictly decreasing when
+  r >= 4.  Past s = k*u^2 the density is 0, below any positive value.
+  For r < 4 the u^3 coefficient is positive and the argument fails, so
+  the construction requires n >= 5.
+
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
 term dropped; epsilon is therefore an approximate lower bound and every
@@ -34,7 +55,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     RngStream,
-    batched_infimum,
     integrate,
 )
 
@@ -158,6 +178,27 @@ def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
 
 
+def _theta_bar_density(mu: float, ds: Dataset, cfg: ModelConfig):
+    """Density family of the post-update theta_bar given mu, vectorized in
+    (A, theta_bar): N((mu*V + y_bar*A)/(V+A), A*V/((V+A)*n))."""
+    n, v = ds.n, cfg.V
+    ybar = ds.y_bar
+
+    def density(a, tb):
+        a = np.asarray(a, dtype=float)
+        mean = (mu * v + ybar * a) / (v + a)
+        var = a * v / ((v + a) * n)
+        return _normal_pdf(tb, mean, var)
+
+    return density
+
+
+def _endpoint_infimum(density, box: SmallSetBox, x):
+    """inf over A in [a_low, a_high] of density(A, x), pointwise in x; exact
+    for the three families here (see the module docstring)."""
+    return np.minimum(density(box.a_low, x), density(box.a_high, x))
+
+
 # ---------------------------------------------------------------------------
 # the three factors
 # ---------------------------------------------------------------------------
@@ -175,6 +216,10 @@ def _relative_only(q: QuadratureSpec) -> QuadratureSpec:
 def _s_factor(box, ds, cfg, q, weight=None):
     """Integral over s of inf_A f_S(A; s), optionally times weight(s)."""
     n, v = ds.n, cfg.V
+    if n < 5:
+        raise MinorizationError(
+            f"the endpoint infimum of the S density needs n >= 5, got n={n}"
+        )
     df = n - 1
     dens = _s_density(box, ds, cfg)
     a_ends = np.array([box.a_low, box.a_high])
@@ -186,7 +231,7 @@ def _s_factor(box, ds, cfg, q, weight=None):
 
     def integrand(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        inf_vals = batched_infimum(dens, box.a_low, box.a_high, s)
+        inf_vals = _endpoint_infimum(dens, box, s)
         if weight is not None:
             inf_vals = inf_vals * weight(s)
         return inf_vals
@@ -197,16 +242,10 @@ def _s_factor(box, ds, cfg, q, weight=None):
 
 def _theta_bar_factor(mu: float, box, ds, cfg, q) -> float:
     """F(mu): integral over theta_bar of the A-infimum of the post-update
-    theta_bar density N((mu*V + y_bar*A)/(V+A), A*V/((V+A)*n))."""
+    theta_bar density."""
     n, v = ds.n, cfg.V
     ybar = ds.y_bar
-
-    def dens(a, tb):
-        a = np.asarray(a, dtype=float)
-        mean = (mu * v + ybar * a) / (v + a)
-        var = a * v / ((v + a) * n)
-        return _normal_pdf(tb, mean, var)
-
+    dens = _theta_bar_density(mu, ds, cfg)
     a_ends = np.array([box.a_low, box.a_high])
     means = (mu * v + ybar * a_ends) / (v + a_ends)
     sd_max = math.sqrt(float(np.max(a_ends * v / ((v + a_ends) * n))))
@@ -215,7 +254,7 @@ def _theta_bar_factor(mu: float, box, ds, cfg, q) -> float:
 
     def integrand(tb):
         tb = np.atleast_1d(np.asarray(tb, dtype=float))
-        return batched_infimum(dens, box.a_low, box.a_high, tb)
+        return _endpoint_infimum(dens, box, tb)
 
     inner = QuadratureSpec(1e-12, q.relative_tolerance, q.max_subdivisions)
     return integrate(integrand, lo, hi, inner)
@@ -243,9 +282,11 @@ def epsilon_lower_bound(
     """Product-form minorization volume for the kernel over the box.
 
     Each factor is a quadrature of a pointwise infimum over the A side of
-    the box (grid scan plus batched golden-section refinement); the mu
-    integration is truncated at 12 standard deviations beyond the corner
-    means, which only lowers the bound (the dropped mass is below 4e-33).
+    the box, taken at the box endpoints a_low and a_high (exact by the
+    argument in the module docstring, which needs n >= 5; smaller n raises
+    MinorizationError); the mu integration is truncated at 12 standard
+    deviations beyond the corner means, which only lowers the bound (the
+    dropped mass is below 4e-33).
     """
     s_factor = _s_factor(box, ds, cfg, q)
 
@@ -256,7 +297,7 @@ def epsilon_lower_bound(
 
     def integrand(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        inf_vals = batched_infimum(mu_dens, box.a_low, box.a_high, mu)
+        inf_vals = _endpoint_infimum(mu_dens, box, mu)
         f_vals = np.array([_theta_bar_factor(float(m), box, ds, cfg, q) for m in mu])
         return inf_vals * f_vals
 

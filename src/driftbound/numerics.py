@@ -27,8 +27,6 @@ __all__ = [
     "integrate_with_error",
     "integrate_halfline",
     "minimize_scalar",
-    "golden_section_batch",
-    "batched_infimum",
     "erf",
     "draw_normal",
     "draw_gamma",
@@ -369,80 +367,3 @@ def minimize_scalar(
             best_x, best_y = x_new, y_new
     return best_x, best_y
 
-
-def golden_section_batch(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section minimization over element-wise brackets.
-
-    ``f`` receives one abscissa per batch element and must return the
-    matching array of values.  Used for the inner infima of the minorization
-    integrals, where thousands of independent one-dimensional minimizations
-    run in lockstep.  The iteration count is fixed upfront from the widest
-    bracket and ``tol`` so the loop stays branch-free.
-    """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    width = float(np.max(b - a))
-    if width <= tol:
-        n_iter = 0
-    else:
-        n_iter = min(max_iter, max(1, int(math.ceil(math.log(tol / width) / math.log(_INVPHI)))))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = np.asarray(f(c), dtype=float)
-    fd = np.asarray(f(d), dtype=float)
-    best_x = np.where(fc < fd, c, d)
-    best_y = np.minimum(fc, fd)
-    for _ in range(n_iter):
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = np.asarray(f(c), dtype=float)
-        fd = np.asarray(f(d), dtype=float)
-        cand_x = np.where(fc < fd, c, d)
-        cand_y = np.minimum(fc, fd)
-        better = cand_y < best_y
-        best_x = np.where(better, cand_x, best_x)
-        best_y = np.minimum(best_y, cand_y)
-    return best_x, best_y
-
-
-def batched_infimum(
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a_lo: float,
-    a_hi: float,
-    x: np.ndarray,
-    grid_points: int = 257,
-    refine: bool = True,
-) -> np.ndarray:
-    """Pointwise infimum over a in [a_lo, a_hi] of ``density(a, x)``.
-
-    Vectorized counterpart of :func:`minimize_scalar` for families of
-    one-dimensional infima: a shared grid scan over ``a`` (broadcast against
-    every evaluation point in ``x``) followed by batched golden-section
-    refinement of each point's own bracket.
-    """
-    x = np.asarray(x, dtype=float)
-    if a_hi <= a_lo:
-        raise NumericsError(f"need a_lo < a_hi, got {a_lo!r}, {a_hi!r}")
-    grid = np.linspace(a_lo, a_hi, grid_points)
-    vals = np.asarray(density(grid[:, None], x[None, :]), dtype=float)
-    idx = np.argmin(vals, axis=0)
-    best = vals[idx, np.arange(x.size)]
-    if refine:
-        lo = grid[np.maximum(idx - 1, 0)]
-        hi = grid[np.minimum(idx + 1, grid_points - 1)]
-        # bracket refinement to 1e-5 of the range puts the value within
-        # O(1e-9) relative of the true infimum for the smooth unimodal
-        # density families minimized here
-        tol = max(1e-14, (a_hi - a_lo) * 1e-5)
-        _, refined = golden_section_batch(lambda a: density(a, x), lo, hi, tol=tol)
-        best = np.minimum(best, refined)
-    return best

@@ -174,11 +174,27 @@ def test_sweep_marks_failed_rows_and_continues(tmp_path):
     out = tmp_path / "sweep"
     rc = cli.main(["sweep-n", "--config", str(cfg), "--n-list", "50,100",
                    "--out", str(out)])
-    assert rc == 0
+    assert rc == 2
     lines = (out / "sweep_n.csv").read_text().splitlines()
     assert lines[0] == "n,lambda_T,b,d,epsilon,q_mass,gamma,K_bar,N_c,status"
     assert len(lines) == 3
     assert all(line.endswith(",failed") for line in lines[1:])
+    assert (out / "manifest.json").exists()
+
+
+def test_sweep_rejects_file_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_config())
+    data = tmp_path / "data.txt"
+    rc = cli.main(["synth-data", "--config", str(cfg), "--n", "60", "--center", "0.1",
+                   "--data-out", str(data), "--out", str(tmp_path / "synth")])
+    assert rc == 0
+    file_cfg = write_config(tmp_path, small_config(data={"file": str(data)}), "file.json")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep-n", "--config", str(file_cfg), "--n-list", "50,100",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "sweep-n synthesises its data for each n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_ok_rows(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from driftbound.hier_model import (
@@ -14,7 +15,11 @@ from driftbound.minorization import (
     EpsilonReport,
     MinorizationError,
     SmallSetBox,
+    _endpoint_infimum,
+    _mu_inf_density,
     _pair_overlap,
+    _s_density,
+    _theta_bar_density,
     build_epsilon_report,
     epsilon_lower_bound,
     overlap_oracle_mc,
@@ -24,6 +29,7 @@ from driftbound.minorization import (
 from driftbound.numerics import RngStream
 
 TIGHT = ModelConfig(V=8e-4, prior_shape_a=3.0, prior_scale_b=0.2, delta_margin=0.08)
+CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,59 @@ def test_volume_nonincreasing_in_box_width(tight100):
     for wide, narrow in zip(values[1:], values[:-1]):
         assert wide <= narrow * (1.0 + 1e-6)
     assert all(0.0 < v <= 1.0 for v in values)
+
+
+def _compare_with_dense_grid(dens, box, x) -> int:
+    """Check that a dense 4097-point A-grid never goes below the endpoint
+    minimum; returns how many points were compared."""
+    grid = np.linspace(box.a_low, box.a_high, 4097)
+    grid_min = dens(grid[:, None], x[None, :]).min(axis=0)
+    endpoint_min = _endpoint_infimum(dens, box, x)
+    # below 1e-300 subnormal rounding makes the comparison meaningless
+    kept = endpoint_min > 1e-300
+    assert np.all(grid_min[kept] >= endpoint_min[kept] * (1.0 - 1e-12))
+    return int(kept.sum())
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 6400])
+def test_endpoint_infima_match_dense_grid(cfg, center, n):
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    compared = {"s": 0, "mu": 0, "theta_bar": 0}
+    for frac in (0.002, 0.02, 0.3, 0.9):
+        # equal halfwidths frac * center on both sides of the box
+        box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
+        a_ends = np.array([box.a_low, box.a_high])
+
+        # S stage, over the S-factor's integration range
+        s2 = a_ends * cfg.V / (cfg.V + a_ends)
+        m = (a_ends / (cfg.V + a_ends)) ** 2 * ds.delta / (n - 1)
+        s_hi = float(np.max(m + s2) + 14.0 * np.max(s2) * math.sqrt(2.0 / (n - 1)))
+        s = np.linspace(float(np.min(m)), s_hi, 301)[1:]
+        compared["s"] += _compare_with_dense_grid(_s_density(box, ds, cfg), box, s)
+
+        # mu stage, over the mu integration range
+        sd = math.sqrt(box.a_high / n)
+        hw = box.theta_bar_halfwidth + 12.0 * sd
+        mu = np.linspace(box.theta_bar_center - hw, box.theta_bar_center + hw, 301)
+        compared["mu"] += _compare_with_dense_grid(_mu_inf_density(box, n), box, mu)
+
+        # theta_bar stage, at several mu, over each F(mu) integration range
+        sd_tb = math.sqrt(float(np.max(s2)) / n)
+        for mu0 in mu[::60]:
+            means = (mu0 * cfg.V + ds.y_bar * a_ends) / (cfg.V + a_ends)
+            tb = np.linspace(means.min() - 12.0 * sd_tb, means.max() + 12.0 * sd_tb, 301)
+            compared["theta_bar"] += _compare_with_dense_grid(
+                _theta_bar_density(mu0, ds, cfg), box, tb)
+    assert min(compared.values()) > 100, compared
+
+
+def test_epsilon_needs_n_at_least_five():
+    ds = synth_dataset(4, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
+    box = SmallSetBox.from_level(4 * 0.05 ** 2, ds, TIGHT)
+    with pytest.raises(MinorizationError, match="n=4"):
+        epsilon_lower_bound(box, ds, TIGHT)
 
 
 def test_quadrature_volume_below_mc_overlap(tight100):

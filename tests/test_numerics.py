@@ -10,12 +10,10 @@ from driftbound.numerics import (
     QuadratureError,
     QuadratureSpec,
     RngStream,
-    batched_infimum,
     draw_gamma,
     draw_inverse_gamma,
     draw_normal,
     erf,
-    golden_section_batch,
     integrate,
     integrate_halfline,
     integrate_with_error,
@@ -180,26 +178,6 @@ def test_minimize_reports_nonfinite_abscissa():
 
     with pytest.raises(NumericsError, match="x="):
         minimize_scalar(f, 0.0, 2.0)
-
-
-def test_batched_infimum_matches_scalar_route():
-    points = np.array([-0.4, 0.0, 0.3, 1.2])
-
-    def family(a, x):
-        return (np.asarray(a) - x) ** 2 + 0.1 * np.asarray(a)
-
-    batched = batched_infimum(family, -2.0, 2.0, points)
-    for x_val, got in zip(points, batched):
-        _, expect = minimize_scalar(lambda a: (a - x_val) ** 2 + 0.1 * a, -2.0, 2.0)
-        assert got == pytest.approx(expect, rel=1e-7, abs=1e-10)
-
-
-def test_golden_section_batch_quadratics():
-    centers = np.array([0.2, 0.5, 0.9])
-    x, fx = golden_section_batch(lambda a: (a - centers) ** 2, np.zeros(3), np.ones(3),
-                                 tol=1e-12)
-    assert np.allclose(x, centers, atol=1e-6)
-    assert np.all(fx < 1e-12)
 
 
 # ---------------------------------------------------------------------------
