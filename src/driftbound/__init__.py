@@ -2,8 +2,8 @@
 
 The package splits into:
 
-- :mod:`driftbound.numerics` -- quadrature, scalar minimization, special
-  functions, and keyed random streams;
+- :mod:`driftbound.numerics` -- quadrature, scalar minimization and keyed
+  random streams;
 - :mod:`driftbound.bound_core` -- model-agnostic drift/minorization
   certificates and their evaluation;
 - :mod:`driftbound.hier_model` -- the two-level normal model, its Gibbs
@@ -57,7 +57,6 @@ from .numerics import (  # noqa: F401
     QuadratureError,
     QuadratureSpec,
     RngStream,
-    erf,
     integrate,
     integrate_halfline,
     minimize_scalar,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .bound_core import (
     DriftParameters,
@@ -146,7 +147,8 @@ def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
 
 def criterion_1_exact_moment_oracle(scale: float = 1.0) -> CriterionResult:
     """One-sweep expected energy matches a full-kernel Monte Carlo average
-    within 3 standard errors at 50 random states (n=100, center=2, V=1)."""
+    at 50 random states (n=100, center=2, V=1): the largest |z| stays under
+    the Sidak threshold whose family-wise rate is that of one |z| <= 3 test."""
     t0 = time.monotonic()
     cfg, center = _classic_model()
     ds = _dataset(cfg, 100, center)
@@ -161,12 +163,14 @@ def criterion_1_exact_moment_oracle(scale: float = 1.0) -> CriterionResult:
         stream = RngStream(_MASTER_SEED, ORACLE_STREAM + 100 + i)
         mc, se = _one_step_energy_mc(ds, cfg, tb, a_val, n_draws, stream)
         worst = max(worst, abs(mc - exact) / se)
+    alpha = 2.0 * ndtr(-3.0)
+    z_max = -ndtri(-0.5 * math.expm1(math.log1p(-alpha) / n_states))
     seconds = time.monotonic() - t0
     return CriterionResult(
         name="1 exact-moment oracle",
-        passed=worst <= 3.0,
+        passed=worst <= z_max,
         measured={"max_abs_z": round(worst, 3), "states": n_states, "draws": n_draws},
-        threshold="|z| <= 3 at every state",
+        threshold=f"max |z| <= {z_max:.2f} (Sidak: family-wise rate of one |z| <= 3 test)",
         seconds=seconds,
     )
 

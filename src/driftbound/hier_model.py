@@ -32,13 +32,7 @@ from .bound_core import (
     evaluate_bound,
     mixing_time_certificate,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    RngStream,
-    integrate_halfline,
-    minimize_scalar,
-)
+from .numerics import RngStream, integrate_halfline, minimize_scalar
 
 __all__ = [
     "ModelError",
@@ -565,7 +559,7 @@ def _log_a_kernel(A, power: float, ds: Dataset, cfg: ModelConfig):
     )
 
 
-def expected_inv_A(ds: Dataset, cfg: ModelConfig, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def expected_inv_A(ds: Dataset, cfg: ModelConfig) -> float:
     """Posterior expectation of 1/A as a ratio of two half-line integrals.
 
     Integrating the latent means and mu out of the joint density leaves
@@ -599,8 +593,8 @@ def expected_inv_A(ds: Dataset, cfg: ModelConfig, quad: QuadratureSpec = DEFAULT
     def den(A):
         return np.exp(_log_a_kernel(A, a + 1.0, ds, cfg) - peak)
 
-    den_val = integrate_halfline(den, quad, breakpoints=breaks)
-    num_val = integrate_halfline(num, quad, breakpoints=breaks)
+    den_val = integrate_halfline(den, breakpoints=breaks)
+    num_val = integrate_halfline(num, breakpoints=breaks)
     if den_val <= 0.0:
         raise ModelError("posterior normalizer integrated to a nonpositive value")
     return num_val / den_val
@@ -618,7 +612,6 @@ def assemble_gibbs_bound(
     d: float | None = None,
     k_max: int = 200,
     mix_target_c: float = 0.25,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> GibbsBoundReport:
     """Compute every certificate constant and the bound curves up to k_max.
 
@@ -656,12 +649,12 @@ def assemble_gibbs_bound(
         A_center=c,
         theta_bar_center=ds.y_bar,
     )
-    eps = minorization.epsilon_lower_bound(box, ds, cfg, quad)
+    eps = minorization.epsilon_lower_bound(box, ds, cfg)
 
     # one-step exit probability bound from the small set (drift + Markov)
     exit_up = (lam_t * d + b) / (ds.n * (c - spec.T) ** 2)
     q_remark = minorization.q_mass_lower_bound(eps, exit_up)
-    q_direct = minorization.uniform_component_band_mass(box, ds, cfg, spec, quad)
+    q_direct = minorization.uniform_component_band_mass(box, ds, cfg, spec)
     q = max(q_remark, q_direct)
     if q <= 0.0:
         raise ModelError("no positive lower bound on the uniform-component band mass")
@@ -691,7 +684,7 @@ def assemble_gibbs_bound(
     k_bar, n_c = mixing_time_certificate(
         c1, c2, c3, dc.gamma, mix_target_c, log_inv_gamma=dc.log_inv_gamma
     )
-    h = expected_inv_A(ds, cfg, quad)
+    h = expected_inv_A(ds, cfg)
 
     constants = BoundConstants(
         lambda_T=lam_t, b_drift=b, d_small=d, T=spec.T, center=c,

@@ -1,11 +1,11 @@
 """Deterministic numerical kernels shared by the whole package.
 
 Adaptive Gauss-Kronrod quadrature (finite interval and half line), grid-scan
-scalar minimization with golden-section refinement, the error function, and
-seeded random variate generation.  Everything here is pure given its inputs;
-randomness lives only inside :class:`RngStream`, which wraps a counter-based
-generator keyed by ``(seed, stream_index)`` so equal keys replay the same
-sequence bit for bit and distinct indices give independent streams.
+scalar minimization with golden-section refinement, and seeded random
+streams.  Everything here is pure given its inputs; randomness lives only
+inside :class:`RngStream`, which wraps a counter-based generator keyed by
+``(seed, stream_index)`` so equal keys replay the same sequence bit for bit
+and distinct indices give independent streams.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ __all__ = [
     "integrate_with_error",
     "integrate_halfline",
     "minimize_scalar",
-    "erf",
-    "draw_normal",
-    "draw_gamma",
-    "draw_inverse_gamma",
 ]
 
 
@@ -107,38 +103,6 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
-
-
-def draw_normal(stream: RngStream, mean: float, variance: float, size: int | None = None):
-    """Normal draw(s) parameterized by mean and variance."""
-    if not (variance > 0.0) or not math.isfinite(variance):
-        raise NumericsError(f"normal variance must be positive and finite, got {variance!r}")
-    return stream.generator.normal(mean, math.sqrt(variance), size)
-
-
-def draw_gamma(stream: RngStream, shape: float, rate: float, size: int | None = None):
-    """Gamma draw(s) with the shape/rate convention (mean = shape/rate)."""
-    if not (shape > 0.0 and rate > 0.0):
-        raise NumericsError(f"gamma shape and rate must be positive, got {shape!r}, {rate!r}")
-    return stream.generator.gamma(shape, 1.0 / rate, size)
-
-
-def draw_inverse_gamma(stream: RngStream, shape: float, scale: float, size: int | None = None):
-    """Inverse-gamma draw(s): the reciprocal of a gamma(shape, rate=scale) draw."""
-    if not (shape > 0.0 and scale > 0.0):
-        raise NumericsError(f"inverse-gamma shape and scale must be positive, got {shape!r}, {scale!r}")
-    g = stream.generator.gamma(shape, 1.0, size)
-    return scale / g
-
-
-# ---------------------------------------------------------------------------
-# special functions
-# ---------------------------------------------------------------------------
-
-
-def erf(x: float) -> float:
-    """Error function erf(x) = 2/sqrt(pi) * integral of exp(-t^2) on [0, x]."""
-    return math.erf(x)
 
 
 # ---------------------------------------------------------------------------

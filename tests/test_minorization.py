@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from driftbound.hier_model import (
     ModelConfig,
@@ -16,10 +18,12 @@ from driftbound.minorization import (
     MinorizationError,
     SmallSetBox,
     _endpoint_infimum,
+    _mu_factor,
     _mu_inf_density,
+    _normal_pdf,
     _pair_overlap,
     _s_density,
-    _theta_bar_density,
+    _theta_bar_overlap,
     build_epsilon_report,
     epsilon_lower_bound,
     overlap_oracle_mc,
@@ -78,6 +82,20 @@ def test_volume_nonincreasing_in_box_width(tight100):
     assert all(0.0 < v <= 1.0 for v in values)
 
 
+def _theta_bar_density(mu: float, ds, cfg):
+    """Density family of the post-update theta_bar given mu, vectorized in
+    (A, theta_bar): N((mu*V + y_bar*A)/(V+A), A*V/((V+A)*n))."""
+    n, v = ds.n, cfg.V
+
+    def density(a, tb):
+        a = np.asarray(a, dtype=float)
+        mean = (mu * v + ds.y_bar * a) / (v + a)
+        var = a * v / ((v + a) * n)
+        return _normal_pdf(tb, mean, var)
+
+    return density
+
+
 def _compare_with_dense_grid(dens, box, x) -> int:
     """Check that a dense 4097-point A-grid never goes below the endpoint
     minimum; returns how many points were compared."""
@@ -122,6 +140,120 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
             compared["theta_bar"] += _compare_with_dense_grid(
                 _theta_bar_density(mu0, ds, cfg), box, tb)
     assert min(compared.values()) > 100, compared
+
+
+def _box(cfg, center, n, frac):
+    """Dataset and box with equal halfwidths frac * center on both sides."""
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    return ds, SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
+
+
+def _mu_grid(box, ds, points):
+    """mu across the mu-factor integration range, plus y_bar itself."""
+    hw = box.theta_bar_halfwidth + 12.0 * math.sqrt(box.a_high / ds.n)
+    return np.append(np.linspace(ds.y_bar - hw, ds.y_bar + hw, points), ds.y_bar)
+
+
+def _mp_endpoint_normals(mu, box, ds, cfg):
+    """(mean, variance) of the theta_bar density at a_low and at a_high."""
+    n, v, ybar, mu = mp.mpf(ds.n), mp.mpf(cfg.V), mp.mpf(ds.y_bar), mp.mpf(mu)
+    return [((mu * v + ybar * a) / (v + a), a * v / ((v + a) * n))
+            for a in (mp.mpf(box.a_low), mp.mpf(box.a_high))]
+
+
+def _mp_crossings(mu, box, ds, cfg):
+    """Crossing points x_a < x_b of the two endpoint densities, by the
+    textbook quadratic formula (its cancellation is harmless at 50 digits)."""
+    (m1, v1), (m2, v2) = _mp_endpoint_normals(mu, box, ds, cfg)
+    a = 1 / (2 * v2) - 1 / (2 * v1)
+    b = m1 / v1 - m2 / v2
+    c = m2**2 / (2 * v2) - m1**2 / (2 * v1) + mp.log(v2 / v1) / 2
+    root = mp.sqrt(b * b - 4 * a * c)
+    return sorted([(-b - root) / (2 * a), (-b + root) / (2 * a)])
+
+
+def _mp_overlap(mu, box, ds, cfg):
+    """F(mu) and z_a = (x_a - m_hi)/sd_hi; call it inside mp.workdps."""
+    (m1, v1), (m2, v2) = _mp_endpoint_normals(mu, box, ds, cfg)
+    x_a, x_b = _mp_crossings(mu, box, ds, cfg)
+    s1, s2 = mp.sqrt(v1), mp.sqrt(v2)
+    z_a, z_b = (x_a - m2) / s2, (x_b - m2) / s2
+    # even at 50 digits 1 - ncdf(z) cancels for z beyond ~15, so every
+    # upper-tail mass is taken as a lower-tail one
+    middle = mp.ncdf(-z_a) - mp.ncdf(-z_b) if z_a > 0 else mp.ncdf(z_b) - mp.ncdf(z_a)
+    return mp.ncdf((x_a - m1) / s1) + mp.ncdf((m1 - x_b) / s1) + middle, z_a
+
+
+@pytest.mark.parametrize("cfg,center,n,frac,upper_tail", [
+    (TIGHT, 0.1, 100, 1e-6, False),  # near-equal variances: one root runs off far
+    (TIGHT, 0.1, 100, 0.3, False),
+    (TIGHT, 0.1, 6400, 0.9, False),
+    (CLASSIC, 2.0, 5, 0.9, False),
+    (CLASSIC, 2.0, 100, 0.9, True),  # both roots in the wide density's upper tail
+], ids=["collapsed", "tight100", "tight6400", "classic5", "classic100"])
+def test_theta_bar_overlap_matches_mpmath(cfg, center, n, frac, upper_tail):
+    ds, box = _box(cfg, center, n, frac)
+    mu = _mu_grid(box, ds, 41)
+    got = _theta_bar_overlap(mu, box, ds, cfg)
+    with mp.workdps(50):
+        ref = [_mp_overlap(m, box, ds, cfg) for m in mu]
+    f_ref = np.array([float(f) for f, _ in ref])
+    kept = f_ref > 1e-300
+    assert kept.sum() > 20
+    assert np.all(np.abs(got[kept] / f_ref[kept] - 1.0) <= 1e-12)
+    # equal means at mu = y_bar, where the parabola's linear term vanishes
+    assert got[-1] == pytest.approx(f_ref[-1], rel=1e-12)
+    # F is symmetric about y_bar: the grid is, up to the rounding of mu
+    assert np.allclose(got[:41], got[40::-1], rtol=1e-11, atol=0.0)
+    if upper_tail:
+        assert any(float(z_a) > 1.0 for f, z_a in ref if f > 1e-300)
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 6400])
+def test_theta_bar_overlap_matches_scipy_quad(cfg, center, n):
+    ds, box = _box(cfg, center, n, 0.3)
+    mu = _mu_grid(box, ds, 9)
+    got = _theta_bar_overlap(mu, box, ds, cfg)
+    for m, f in zip(mu, got):
+        with mp.workdps(50):
+            x_a, x_b = (float(x) for x in _mp_crossings(m, box, ds, cfg))
+        dens = _theta_bar_density(float(m), ds, cfg)
+        sd = math.sqrt(box.a_high * cfg.V / ((cfg.V + box.a_high) * n))
+        means = [(m * cfg.V + ds.y_bar * a) / (cfg.V + a) for a in (box.a_low, box.a_high)]
+        lo, hi = min(means + [x_a]) - 40.0 * sd, max(means + [x_b]) + 40.0 * sd
+        ref, _ = sp_integrate.quad(lambda x: float(_endpoint_infimum(dens, box, x)),
+                                   lo, hi, points=[x_a, x_b], epsabs=0.0,
+                                   epsrel=1e-12, limit=500)
+        if ref > 1e-300:
+            assert f == pytest.approx(ref, rel=1e-9)
+
+
+def _mp_mu_factor(box, ds, cfg):
+    """The mu factor by 30-digit tanh-sinh quadrature, split at every kink."""
+    with mp.workdps(30):
+        n = mp.mpf(ds.n)
+        a_lo, a_hi = mp.mpf(box.a_low), mp.mpf(box.a_high)
+        tb_c, hw = mp.mpf(box.theta_bar_center), mp.mpf(box.theta_bar_halfwidth)
+        sd = mp.sqrt(a_hi / n)
+        r = mp.sqrt(mp.log(a_hi / a_lo) * a_lo * a_hi / (n * (a_hi - a_lo)))
+
+        def integrand(mu):
+            far = tb_c - hw if mu >= tb_c else tb_c + hw
+            corner = min(mp.npdf(mu, far, mp.sqrt(a / n)) for a in (a_lo, a_hi))
+            return corner * _mp_overlap(mu, box, ds, cfg)[0]
+
+        edges = sorted([tb_c - hw - 12 * sd, tb_c - hw + r, tb_c, tb_c + hw - r,
+                        tb_c + hw + 12 * sd])
+        return float(mp.quad(integrand, edges))
+
+
+def test_mu_factor_matches_mpmath(tight100):
+    ds, _, d = tight100
+    box = SmallSetBox.from_level(d, ds, TIGHT)
+    assert _mu_factor(box, ds, TIGHT) == pytest.approx(_mp_mu_factor(box, ds, TIGHT),
+                                                       rel=1e-12)
 
 
 def test_epsilon_needs_n_at_least_five():

@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,10 +9,6 @@ from driftbound.numerics import (
     QuadratureError,
     QuadratureSpec,
     RngStream,
-    draw_gamma,
-    draw_inverse_gamma,
-    draw_normal,
-    erf,
     integrate,
     integrate_halfline,
     integrate_with_error,
@@ -181,32 +176,14 @@ def test_minimize_reports_nonfinite_abscissa():
 
 
 # ---------------------------------------------------------------------------
-# erf
-# ---------------------------------------------------------------------------
-
-
-def test_erf_examples():
-    assert erf(0.0) == 0.0
-    assert erf(-0.7) == -erf(0.7)
-    # frozen from a 40-digit reference evaluation
-    assert erf(1.0) == pytest.approx(0.84270079294971487, abs=1e-12)
-
-
-def test_erf_matches_high_precision_reference():
-    mp.mp.dps = 30
-    for x in np.linspace(-6.0, 6.0, 41):
-        assert abs(erf(float(x)) - float(mp.erf(float(x)))) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
 # random streams
 # ---------------------------------------------------------------------------
 
 
 def test_stream_determinism_and_independence():
-    a = draw_normal(RngStream(42, 7), 0.0, 1.0, 1000)
-    b = draw_normal(RngStream(42, 7), 0.0, 1.0, 1000)
-    c = draw_normal(RngStream(42, 8), 0.0, 1.0, 1000)
+    a = RngStream(42, 7).generator.normal(0.0, 1.0, 1000)
+    b = RngStream(42, 7).generator.normal(0.0, 1.0, 1000)
+    c = RngStream(42, 8).generator.normal(0.0, 1.0, 1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -218,14 +195,9 @@ def test_stream_key_validation():
         RngStream(0, 2**64)
 
 
-def test_draw_parameter_validation():
-    s = RngStream(1, 0)
-    with pytest.raises(NumericsError):
-        draw_normal(s, 0.0, 0.0)
-    with pytest.raises(NumericsError):
-        draw_gamma(s, -1.0, 1.0)
-    with pytest.raises(NumericsError):
-        draw_inverse_gamma(s, 1.0, 0.0)
+# The moment checks below draw in the idioms the samplers use on keyed
+# streams: normal(mean, sd), standard_gamma(shape)/rate, and the
+# inverse gamma as scale / standard_gamma(shape).
 
 
 @pytest.mark.parametrize("mean,var", [
@@ -233,7 +205,8 @@ def test_draw_parameter_validation():
     (0.3, 0.01), (-0.7, 2.5), (10.0, 0.5), (0.0, 100.0), (1e3, 1.0),
 ])
 def test_normal_moments(mean, var):
-    x = draw_normal(RngStream(3, hash((mean, var)) % 2**63), mean, var, 1_000_000)
+    g = RngStream(3, hash((mean, var)) % 2**63).generator
+    x = g.normal(mean, math.sqrt(var), 1_000_000)
     se_mean = x.std() / math.sqrt(x.size)
     assert abs(x.mean() - mean) <= 4.0 * se_mean
     m2 = x**2
@@ -245,7 +218,8 @@ def test_normal_moments(mean, var):
     (10.0, 1.0), (0.7, 3.0), (52.5, 1.0), (4.0, 10.0), (1.5, 0.2),
 ])
 def test_gamma_moments(shape, rate):
-    x = draw_gamma(RngStream(5, hash((shape, rate)) % 2**63), shape, rate, 1_000_000)
+    g = RngStream(5, hash((shape, rate)) % 2**63).generator
+    x = g.standard_gamma(shape, 1_000_000) / rate
     se_mean = x.std() / math.sqrt(x.size)
     assert abs(x.mean() - shape / rate) <= 4.0 * se_mean
     m2 = x**2
@@ -258,8 +232,8 @@ def test_gamma_moments(shape, rate):
     (10.0, 10.0), (4.5, 0.5), (7.0, 2.5), (12.0, 6.0), (20.0, 5.0),
 ])
 def test_inverse_gamma_moments(shape, scale):
-    x = draw_inverse_gamma(RngStream(7, hash((shape, scale)) % 2**63), shape, scale,
-                           1_000_000)
+    g = RngStream(7, hash((shape, scale)) % 2**63).generator
+    x = scale / g.standard_gamma(shape, 1_000_000)
     se_mean = x.std() / math.sqrt(x.size)
     assert abs(x.mean() - scale / (shape - 1.0)) <= 4.0 * se_mean
     m2 = x**2
@@ -269,9 +243,9 @@ def test_inverse_gamma_moments(shape, scale):
 
 def test_inverse_gamma_frozen_examples():
     # mean = scale/(shape-1) = 1 and second moment = 16/12 = 4/3 for (5, 4)
-    x = draw_inverse_gamma(RngStream(11, 0), 5.0, 4.0, 1_000_000)
+    x = 4.0 / RngStream(11, 0).generator.standard_gamma(5.0, 1_000_000)
     assert abs(x.mean() - 1.0) <= 3.0 * x.std() / math.sqrt(x.size)
     m2 = x**2
     assert abs(m2.mean() - 4.0 / 3.0) <= 3.0 * m2.std() / math.sqrt(x.size)
-    z = draw_normal(RngStream(11, 1), 0.0, 1.0, 1_000_000)
+    z = RngStream(11, 1).generator.normal(0.0, 1.0, 1_000_000)
     assert abs(z.var() - 1.0) <= 3.0 * math.sqrt(2.0 / z.size)
