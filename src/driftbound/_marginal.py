@@ -29,23 +29,49 @@ import math
 
 import numpy as np
 
-from .hier_model import ChainState, Dataset, LargeSetSpec, ModelConfig
+from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
 from .numerics import RngStream
 
 
-class MarginalKernel:
-    """Precomputed constants for the summary-state sweep."""
+def _make_sweep(sqrt, n, v, ybar, sqrt_delta, b_prior):
+    """The sweep (theta_bar, A) -> (mu', theta_bar', A') from its draws.
 
-    __slots__ = ("n", "v", "ybar", "delta", "a1", "b_prior", "df")
+    ``sqrt`` is ``math.sqrt`` for Python floats and ``np.sqrt`` for arrays;
+    both round correctly, so the two paths agree bit for bit.  The square
+    is written ``root * root`` because a float's ``root ** 2`` goes through
+    libm ``pow``, which can miss the correctly rounded product by one ulp.
+    """
+
+    def sweep(tb, a, z0, z1, z2, w, gam):
+        va = v + a
+        mu1 = tb + sqrt(a / n) * z0
+        s2 = a * v / va
+        tb1 = (mu1 * v + ybar * a) / va + sqrt(s2 / n) * z1
+        root = a / va * sqrt_delta + sqrt(s2) * z2
+        ssum = root * root + s2 * w
+        return mu1, tb1, (b_prior + 0.5 * ssum) / gam
+
+    return sweep
+
+
+class MarginalKernel:
+    """The summary-state sweep, its per-step draw layout and the energy.
+
+    The sweep is built once from the model constants, for Python floats
+    (:func:`run_summary_chain`) and for arrays (:meth:`step_arrays`).
+    """
+
+    __slots__ = ("n", "ybar", "center", "a1", "df", "_scalar_sweep", "_array_sweep")
 
     def __init__(self, ds: Dataset, cfg: ModelConfig):
         self.n = ds.n
-        self.v = cfg.V
         self.ybar = ds.y_bar
-        self.delta = ds.delta
+        self.center = data_center(ds, cfg)
         self.a1 = cfg.prior_shape_a + 0.5 * (ds.n - 1)
-        self.b_prior = cfg.prior_scale_b
         self.df = ds.n - 2
+        consts = (ds.n, cfg.V, ds.y_bar, math.sqrt(ds.delta), cfg.prior_scale_b)
+        self._scalar_sweep = _make_sweep(math.sqrt, *consts)
+        self._array_sweep = _make_sweep(np.sqrt, *consts)
 
     def draw_block(self, stream: RngStream, n_steps: int):
         """Draws for ``n_steps`` sweeps in the documented per-step order."""
@@ -55,21 +81,20 @@ class MarginalKernel:
         gam = g.standard_gamma(self.a1, n_steps)
         return z, w, gam
 
-    def step_arrays(self, tb, a, z0, z1, z2, w, gam):
-        """One sweep applied elementwise across chains; returns (mu', tb', S', A')."""
-        n, v = self.n, self.v
-        mu1 = tb + np.sqrt(a / n) * z0
-        s2 = a * v / (v + a)
-        tb1 = (mu1 * v + self.ybar * a) / (v + a) + np.sqrt(s2 / n) * z1
-        root = a / (v + a) * math.sqrt(self.delta)
-        ssum = (root + np.sqrt(s2) * z2) ** 2 + s2 * w
-        s1 = ssum / (n - 1)
-        a1_new = (self.b_prior + 0.5 * ssum) / gam
-        return mu1, tb1, s1, a1_new
+    def step_arrays(self, tb, a, z0, z1, z2, w, gam, band: LargeSetSpec | None = None):
+        """One sweep applied elementwise across chains; returns (mu', tb', A').
 
+        With ``band``, an A' landing outside it is rejected and A kept (the
+        per-sub-step rejection kernel, see :func:`run_summary_chain`).
+        """
+        mu1, tb1, a_new = self._array_sweep(tb, a, z0, z1, z2, w, gam)
+        if band is not None:
+            a_new = np.where(band.contains(a_new), a_new, a)
+        return mu1, tb1, a_new
 
-def summary_of(x: ChainState) -> tuple[float, float]:
-    return x.theta_bar, x.A
+    def energy(self, tb, a):
+        """The drift function n*((theta_bar - y_bar)^2 + (center - A)^2)."""
+        return self.n * ((tb - self.ybar) ** 2 + (self.center - a) ** 2)
 
 
 def run_summary_chain(
@@ -90,8 +115,8 @@ def run_summary_chain(
     ``keep_only_in`` instead records only the steps whose state lies in the
     band ("stopping the clock"): the recorded sequence is the induced chain
     on the band.  Recording starts after ``burn_in`` steps, every ``thin``-th
-    eligible step.  The inner loop runs on Python floats from pre-drawn
-    blocks; the draw sequence matches draw_block exactly.
+    eligible step.  The inner loop runs the kernel's sweep on Python floats
+    from pre-drawn blocks; the draw sequence matches draw_block exactly.
 
     Returns ``(theta_bar_records, a_records, (theta_bar, a))`` with the
     final state last so callers can continue the chain.
@@ -100,11 +125,7 @@ def run_summary_chain(
         raise ValueError("n_steps must be >= 1")
     if restrict is not None and keep_only_in is not None:
         raise ValueError("restrict and keep_only_in are mutually exclusive")
-    n, v = kernel.n, kernel.v
-    ybar, delta = kernel.ybar, kernel.delta
-    b_prior, df = kernel.b_prior, kernel.df
-    inv_nm1 = 1.0 / (n - 1)
-    sqrt = math.sqrt
+    sweep = kernel._scalar_sweep
     lo = hi = None
     if restrict is not None:
         lo, hi = restrict.a_low, restrict.a_high
@@ -124,21 +145,12 @@ def run_summary_chain(
     while done < n_steps:
         m = min(block, n_steps - done)
         z, w, gam = kernel.draw_block(stream, m)
-        z0l, z1l, z2l = z[:, 0].tolist(), z[:, 1].tolist(), z[:, 2].tolist()
-        wl = w.tolist()
-        gl = gam.tolist()
-        for i in range(m):
-            mu1 = tb + sqrt(a / n) * z0l[i]
-            s2 = a * v / (v + a)
-            tb = (mu1 * v + ybar * a) / (v + a) + sqrt(s2 / n) * z1l[i]
-            ssum = (a / (v + a) * sqrt(delta) + sqrt(s2) * z2l[i]) ** 2 + s2 * wl[i]
-            a_new = (b_prior + 0.5 * ssum) / gl[i]
-            if lo is not None:
-                if lo <= a_new <= hi:
-                    a = a_new
-            else:
+        draws = zip(z[:, 0].tolist(), z[:, 1].tolist(), z[:, 2].tolist(),
+                    w.tolist(), gam.tolist())
+        for t, (z0, z1, z2, wi, gi) in enumerate(draws, done):
+            _, tb, a_new = sweep(tb, a, z0, z1, z2, wi, gi)
+            if lo is None or lo <= a_new <= hi:
                 a = a_new
-            t = done + i
             if t >= next_record:
                 if klo is not None:
                     if klo <= a <= khi:

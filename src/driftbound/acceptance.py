@@ -300,7 +300,7 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
         ds, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM + 1), ref_steps,
         _count(100_000, scale, floor=10_000),
     )
-    out = ((ref_a < spec.a_low) | (ref_a > spec.a_high)).astype(float)
+    out = (~spec.contains(ref_a)).astype(float)
     n_batches = 100
     batches = np.array_split(out, n_batches)
     means = np.array([b_.mean() for b_ in batches])
@@ -376,7 +376,7 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     ref_tb, ref_a = run_reference_chain(
         ds, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM + 3), ref_steps, ref_burn
     )
-    keep = (ref_a >= spec.a_low) & (ref_a <= spec.a_high)
+    keep = spec.contains(ref_a)
     ref_tb, ref_a = ref_tb[keep], ref_a[keep]
     bins = BinGrid.equal_mass(ref_tb, ref_a, (32, 32))
     ref_counts = bins.counts(ref_tb, ref_a)

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance
+from ._marginal import MarginalKernel
 from .bound_core import BoundError
 from .hier_model import (
     Dataset,
@@ -487,12 +488,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     ens_path = out_dir / "ensemble.csv"
     ens_rows = []
     if summary.recorded_theta_bar is not None:
-        c = data_center(ds, cfg.model)
+        kernel = MarginalKernel(ds, cfg.model)
         for r, step in enumerate(summary.recorded_steps):
             tb_row = summary.recorded_theta_bar[r]
             a_row = summary.recorded_A[r]
-            f_row = ds.n * ((tb_row - ds.y_bar) ** 2 + (c - a_row) ** 2)
-            inb = (a_row >= spec.a_low) & (a_row <= spec.a_high)
+            f_row = kernel.energy(tb_row, a_row)
+            inb = spec.contains(a_row)
             for chain in range(plan.n_chains):
                 ens_rows.append([chain, step, tb_row[chain], a_row[chain],
                                  f_row[chain], bool(inb[chain])])

@@ -198,6 +198,10 @@ class LargeSetSpec:
     def a_high(self) -> float:
         return 2.0 * self.center - self.T
 
+    def contains(self, A):
+        """Band membership a_low <= A <= a_high, elementwise for arrays."""
+        return (self.a_low <= A) & (A <= self.a_high)
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -373,8 +377,8 @@ def default_large_set(ds: Dataset, cfg: ModelConfig) -> LargeSetSpec:
 
 
 def in_large_set(x: ChainState, spec: LargeSetSpec) -> bool:
-    """Membership test (center - A)^2 <= (center - T)^2, i.e. A in [T, 2c-T]."""
-    return (spec.center - x.A) ** 2 <= (spec.center - spec.T) ** 2
+    """Whether the state's A lies in the band (:meth:`LargeSetSpec.contains`)."""
+    return bool(spec.contains(x.A))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +386,26 @@ def in_large_set(x: ChainState, spec: LargeSetSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def gibbs_step(x: ChainState, ds: Dataset, cfg: ModelConfig, stream: RngStream) -> ChainState:
+def gibbs_step(
+    x: ChainState,
+    ds: Dataset,
+    cfg: ModelConfig,
+    stream: RngStream,
+    band: LargeSetSpec | None = None,
+) -> ChainState:
     """One full sweep: mu, then each theta_i, then A.
 
     Draw layout per sweep (fixed for reproducibility): one standard normal
     for mu, n standard normals for theta, one standard gamma for A.
+
+    With ``band`` this is the per-sub-step rejection kernel on the band: the
+    mu and theta stages cannot leave a band that constrains A alone, so they
+    always go through, and an A proposal outside the band is dropped and the
+    previous A kept.  Under shared randomness it emits exactly the
+    unrestricted sweep whenever the proposal stays inside.
     """
+    if band is not None and not in_large_set(x, band):
+        raise ModelError("state outside the retained band")
     g = stream.generator
     n, V = ds.n, cfg.V
     mu1 = x.theta_bar + math.sqrt(x.A / n) * g.standard_normal()
@@ -400,6 +418,8 @@ def gibbs_step(x: ChainState, ds: Dataset, cfg: ModelConfig, stream: RngStream) 
     beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
     a1 = cfg.prior_shape_a + 0.5 * (n - 1)
     A1 = beta / g.standard_gamma(a1)
+    if band is not None and not band.contains(A1):
+        A1 = x.A
     return make_state(mu1, A1, theta1)
 
 

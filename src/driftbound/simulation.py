@@ -4,8 +4,8 @@ Everything here rides on the exact summary-state recursion (see _marginal):
 ensembles of independent chains, single long reference chains standing in
 for the stationary law, the induced chain on the retained band ("stopping
 the clock"), the per-sub-step rejection chain, binned total-variation lower
-bounds, exit-frequency estimates, and joint return-time statistics for an
-independent pair of restricted chains.
+bounds, and joint return-time statistics for an independent pair of
+restricted chains.
 
 Reproducibility contract: every chain owns the stream
 (seed, stream base + chain index) with a fixed per-step draw layout, chunk
@@ -20,40 +20,32 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ._marginal import MarginalKernel, run_summary_chain, summary_of
+from ._marginal import MarginalKernel, run_summary_chain
 from .hier_model import (
     ChainState,
     Dataset,
     LargeSetSpec,
     ModelConfig,
-    data_center,
     in_large_set,
     initial_state,
-    make_state,
 )
 from .numerics import RngStream
 
 __all__ = [
     "SimulationError",
     "SimulationPlan",
-    "TraceRecord",
     "EnsembleSummary",
-    "ExitEstimate",
     "BinGrid",
     "HittingStats",
     "run_ensemble",
     "run_reference_chain",
     "run_restricted_chain",
     "run_trace_chain",
-    "trace_chain_transform",
-    "restricted_kernel_step",
     "tv_lower_bound_estimate",
     "tv_from_counts",
-    "exit_probability_estimate",
     "hitting_time_stats",
     "DATA_STREAM",
     "REFERENCE_STREAM",
@@ -70,6 +62,19 @@ ENSEMBLE_STREAM_BASE = 1_000_000
 PAIR_STREAM_BASE = 3_000_000
 
 _CHUNK = 4096  # chains per work unit; fixed so threading cannot change results
+
+
+def _draw_streams(kernel: MarginalKernel, seed: int, indices: np.ndarray, n_steps: int):
+    """Draw blocks of ``n_steps`` sweeps for the streams (seed, i), i in
+    ``indices``; returns (Z0, Z1, Z2, W, G) stacked along a leading axis of
+    length 5, each shaped ``indices.shape + (n_steps,)``."""
+    out = np.empty((5, indices.size, n_steps))
+    for j, i in enumerate(indices.ravel().tolist()):
+        z, w, gam = kernel.draw_block(RngStream(seed, i), n_steps)
+        out[:3, j] = z.T
+        out[3, j] = w
+        out[4, j] = gam
+    return out.reshape((5,) + indices.shape + (n_steps,))
 
 
 class SimulationError(Exception):
@@ -91,15 +96,6 @@ class SimulationPlan:
             raise SimulationError("burn_in must satisfy 0 <= burn_in < n_steps")
         if self.record_stride < 1:
             raise SimulationError("record_stride must be >= 1")
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    theta_bar: float
-    A: float
-    f_value: float
-    in_large_set: bool
 
 
 @dataclass(frozen=True)
@@ -162,20 +158,6 @@ class EnsembleSummary:
     recorded_theta_bar: np.ndarray | None
     recorded_A: np.ndarray | None
 
-    def trace_records(self, chain: int, ds: Dataset, cfg: ModelConfig,
-                      spec: LargeSetSpec | None = None) -> list[TraceRecord]:
-        if self.recorded_theta_bar is None:
-            raise SimulationError("ensemble was run without state recording")
-        c = data_center(ds, cfg)
-        out = []
-        for r, step in enumerate(self.recorded_steps):
-            tb = float(self.recorded_theta_bar[r, chain])
-            a = float(self.recorded_A[r, chain])
-            f = ds.n * (tb - ds.y_bar) ** 2 + ds.n * (c - a) ** 2
-            flag = bool(spec.a_low <= a <= spec.a_high) if spec is not None else False
-            out.append(TraceRecord(step=step, theta_bar=tb, A=a, f_value=f, in_large_set=flag))
-        return out
-
 
 def run_ensemble(
     plan: SimulationPlan,
@@ -198,8 +180,6 @@ def run_ensemble(
     """
     kernel = MarginalKernel(ds, cfg)
     n_steps, n_chains = plan.n_steps, plan.n_chains
-    c = data_center(ds, cfg)
-    ybar, n_data = ds.y_bar, ds.n
 
     rec_steps = tuple(
         t for t in range(1, n_steps + 1)
@@ -220,14 +200,8 @@ def run_ensemble(
         lo = chunk_id * _CHUNK
         hi = min(lo + _CHUNK, n_chains)
         m = hi - lo
-        z0 = np.empty((m, n_steps)); z1 = np.empty((m, n_steps)); z2 = np.empty((m, n_steps))
-        ws = np.empty((m, n_steps)); gs = np.empty((m, n_steps))
-        for j in range(m):
-            stream = RngStream(plan.seed, ENSEMBLE_STREAM_BASE + lo + j)
-            z, w, gam = kernel.draw_block(stream, n_steps)
-            z0[j], z1[j], z2[j] = z[:, 0], z[:, 1], z[:, 2]
-            ws[j] = w
-            gs[j] = gam
+        draws = _draw_streams(kernel, plan.seed, ENSEMBLE_STREAM_BASE + np.arange(lo, hi),
+                              n_steps)
         tb = np.full(m, x0.theta_bar)
         a = np.full(m, x0.A)
         local_band = np.zeros(n_steps, dtype=np.int64)
@@ -235,13 +209,12 @@ def run_ensemble(
             np.zeros((n_steps, bins.n_cells), dtype=np.int64) if bins is not None else None
         )
         for t in range(n_steps):
-            _, tb, _, a = kernel.step_arrays(tb, a, z0[:, t], z1[:, t], z2[:, t],
-                                             ws[:, t], gs[:, t])
-            f = n_data * ((tb - ybar) ** 2 + (c - a) ** 2)
+            _, tb, a = kernel.step_arrays(tb, a, *draws[:, :, t])
+            f = kernel.energy(tb, a)
             sum_f[chunk_id, t] = f.sum()
             sum_f_sq[chunk_id, t] = (f * f).sum()
             if large_set is not None:
-                local_band[t] = int(((a >= large_set.a_low) & (a <= large_set.a_high)).sum())
+                local_band[t] = int(large_set.contains(a).sum())
             if bins is not None:
                 local_hist[t] = bins.counts(tb, a)
             r = rec_index.get(t + 1)
@@ -296,9 +269,9 @@ def run_reference_chain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Long single chain standing in for the stationary law; returns
     post-burn-in (theta_bar, A) samples."""
-    start = summary_of(x0 if x0 is not None else initial_state(ds, cfg))
+    x = x0 if x0 is not None else initial_state(ds, cfg)
     kernel = MarginalKernel(ds, cfg)
-    tb, a, _ = run_summary_chain(kernel, start, burn_in + n_steps, stream,
+    tb, a, _ = run_summary_chain(kernel, (x.theta_bar, x.A), burn_in + n_steps, stream,
                                  burn_in=burn_in, thin=thin)
     return tb, a
 
@@ -317,8 +290,8 @@ def run_restricted_chain(
     if not in_large_set(x_start, spec):
         raise SimulationError("start state lies outside the retained band")
     kernel = MarginalKernel(ds, cfg)
-    tb, a, _ = run_summary_chain(kernel, summary_of(x_start), burn_in + n_steps, stream,
-                                 burn_in=burn_in, restrict=spec)
+    tb, a, _ = run_summary_chain(kernel, (x_start.theta_bar, x_start.A), burn_in + n_steps,
+                                 stream, burn_in=burn_in, restrict=spec)
     return tb, a
 
 
@@ -334,7 +307,7 @@ def run_trace_chain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Induced chain on the band: run the unrestricted chain and keep only
     the in-band steps, re-indexed consecutively, until n_samples are held."""
-    start = summary_of(x0 if x0 is not None else initial_state(ds, cfg))
+    x = x0 if x0 is not None else initial_state(ds, cfg)
     kernel = MarginalKernel(ds, cfg)
     cap = max_steps if max_steps is not None else 50 * n_samples + burn_in
     tb_parts: list[np.ndarray] = []
@@ -342,7 +315,7 @@ def run_trace_chain(
     got = 0
     used = 0
     seg = max(2 * n_samples, 1_000_000)
-    state = start
+    state = (x.theta_bar, x.A)
     first = True
     while got < n_samples:
         if used >= cap:
@@ -364,50 +337,6 @@ def run_trace_chain(
     tb_all = np.concatenate(tb_parts)[:n_samples]
     a_all = np.concatenate(a_parts)[:n_samples]
     return tb_all, a_all
-
-
-def trace_chain_transform(
-    records: Sequence[TraceRecord],
-    spec: LargeSetSpec,
-) -> list[TraceRecord]:
-    """Subsequence of records inside the band, re-indexed consecutively."""
-    out = []
-    for rec in records:
-        if spec.a_low <= rec.A <= spec.a_high:
-            out.append(TraceRecord(step=len(out), theta_bar=rec.theta_bar, A=rec.A,
-                                   f_value=rec.f_value, in_large_set=True))
-    if not out:
-        raise SimulationError("chain never visited the retained band")
-    return out
-
-
-def restricted_kernel_step(
-    x: ChainState,
-    ds: Dataset,
-    cfg: ModelConfig,
-    spec: LargeSetSpec,
-    stream: RngStream,
-) -> ChainState:
-    """Full-state sweep under per-sub-step rejection.
-
-    The mu and theta stages cannot leave a band that constrains A alone, so
-    they always go through; an A proposal landing outside the band is
-    dropped and the previous A kept.  Under shared randomness this emits
-    exactly the unrestricted sweep whenever the proposal stays inside.
-    """
-    if not in_large_set(x, spec):
-        raise SimulationError("state outside the retained band")
-    g = stream.generator
-    n, v = ds.n, cfg.V
-    mu1 = x.theta_bar + math.sqrt(x.A / n) * g.standard_normal()
-    w = v / (v + x.A)
-    theta1 = mu1 * w + ds.y * (1.0 - w) + math.sqrt(x.A * v / (v + x.A)) * g.standard_normal(n)
-    tb1 = float(theta1.mean())
-    s1 = float(((theta1 - tb1) ** 2).sum()) / (n - 1)
-    beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
-    a_prop = beta / g.standard_gamma(cfg.prior_shape_a + 0.5 * (n - 1))
-    a_new = a_prop if spec.a_low <= a_prop <= spec.a_high else x.A
-    return make_state(mu1, a_new, theta1)
 
 
 # ---------------------------------------------------------------------------
@@ -447,40 +376,6 @@ def tv_lower_bound_estimate(samples_a, samples_b, bins: BinGrid) -> float:
     tb_a, a_a = _as_pairs(samples_a)
     tb_b, a_b = _as_pairs(samples_b)
     return tv_from_counts(bins.counts(tb_a, a_a), bins.counts(tb_b, a_b))
-
-
-@dataclass(frozen=True)
-class ExitEstimate:
-    """Per-step empirical exit frequencies with binomial standard errors."""
-
-    steps: np.ndarray
-    exit_frequency: np.ndarray
-    standard_error: np.ndarray
-    n_chains: int
-
-    def cumulative(self, k: int) -> float:
-        if not (1 <= k <= self.steps.size):
-            raise SimulationError(f"k must lie in [1, {self.steps.size}], got {k!r}")
-        return float(self.exit_frequency[:k].sum())
-
-    def cumulative_se(self, k: int) -> float:
-        return float(np.sqrt((self.standard_error[:k] ** 2).sum()))
-
-
-def exit_probability_estimate(
-    plan: SimulationPlan,
-    ds: Dataset,
-    cfg: ModelConfig,
-    spec: LargeSetSpec,
-    x0: ChainState,
-    threads: int = 1,
-) -> ExitEstimate:
-    summary = run_ensemble(plan, ds, cfg, x0, large_set=spec, threads=threads,
-                           record_states=False)
-    p_exit = 1.0 - summary.in_band_fraction
-    se = np.sqrt(np.maximum(p_exit * (1.0 - p_exit), 0.0) / plan.n_chains)
-    return ExitEstimate(steps=summary.steps, exit_frequency=p_exit,
-                        standard_error=se, n_chains=plan.n_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -595,49 +490,20 @@ def hitting_time_stats(
     if not in_large_set(start, spec):
         raise SimulationError("start state lies outside the retained band")
     kernel = MarginalKernel(ds, cfg)
-    c = data_center(ds, cfg)
-    ybar, n_data = ds.y_bar, ds.n
-    lo_band, hi_band = spec.a_low, spec.a_high
-
     t_matrix = np.full((n_pairs, j_max), -1, dtype=np.int64)
-
-    def in_set(tb_v, a_v):
-        f = n_data * ((tb_v - ybar) ** 2 + (c - a_v) ** 2)
-        return f <= d_small
-
     for base in range(0, n_pairs, _CHUNK):
-        m = min(_CHUNK, n_pairs - base)
-        z0 = np.empty((2, m, n_steps)); z1 = np.empty((2, m, n_steps))
-        z2 = np.empty((2, m, n_steps)); ws = np.empty((2, m, n_steps))
-        gs = np.empty((2, m, n_steps))
-        for j in range(m):
-            for side in range(2):
-                stream = RngStream(seed, PAIR_STREAM_BASE + 2 * (base + j) + side)
-                z, w, gam = kernel.draw_block(stream, n_steps)
-                z0[side, j], z1[side, j], z2[side, j] = z[:, 0], z[:, 1], z[:, 2]
-                ws[side, j] = w
-                gs[side, j] = gam
-        tb = np.full((2, m), start.theta_bar)
-        aa = np.full((2, m), start.A)
-        hits = np.zeros(m, dtype=np.int64)
-
+        pairs = np.arange(base, min(base + _CHUNK, n_pairs))
+        # both chains of every pair step at once: side on axis 0, pair on axis 1
+        streams = PAIR_STREAM_BASE + 2 * pairs + np.arange(2)[:, None]
+        draws = _draw_streams(kernel, seed, streams, n_steps)
+        tb = np.full(streams.shape, start.theta_bar)
+        aa = np.full(streams.shape, start.A)
+        hits = np.zeros(pairs.size, dtype=np.int64)
         # the state at time 0 is the first opportunity for a joint return
-        both = in_set(tb[0], aa[0]) & in_set(tb[1], aa[1])
-        sel = np.nonzero(both & (hits < j_max))[0]
-        t_matrix[base + sel, hits[sel]] = 0
-        hits[sel] += 1
-
-        for t in range(1, n_steps):
-            for side in range(2):
-                _, tb1, _, a_prop = kernel.step_arrays(
-                    tb[side], aa[side],
-                    z0[side, :, t - 1], z1[side, :, t - 1], z2[side, :, t - 1],
-                    ws[side, :, t - 1], gs[side, :, t - 1],
-                )
-                stay = (a_prop >= lo_band) & (a_prop <= hi_band)
-                aa[side] = np.where(stay, a_prop, aa[side])
-                tb[side] = tb1
-            both = in_set(tb[0], aa[0]) & in_set(tb[1], aa[1])
+        for t in range(n_steps):
+            if t:
+                _, tb, aa = kernel.step_arrays(tb, aa, *draws[..., t - 1], band=spec)
+            both = (kernel.energy(tb, aa) <= d_small).all(axis=0)
             sel = np.nonzero(both & (hits < j_max))[0]
             t_matrix[base + sel, hits[sel]] = t
             hits[sel] += 1

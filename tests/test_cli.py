@@ -7,6 +7,7 @@ import pytest
 
 from driftbound import cli
 from driftbound.cli import ConfigError, ExperimentConfig, load_observations
+from driftbound.hier_model import drift_value_summary
 
 
 def small_config(**overrides):
@@ -231,6 +232,14 @@ def test_simulate_outputs(tmp_path):
     ens_lines = (out / "ensemble.csv").read_text().splitlines()
     assert ens_lines[0] == "chain,step,theta_bar,A,f_value,in_large_set"
     assert len(ens_lines) == 1 + 400 * 2  # two recorded steps, every chain
+    # each row's energy and band flag agree with the model's own definitions
+    exp = cli.load_config(str(cfg))
+    ds = exp.resolve_dataset()
+    spec = exp.resolve_large_set(ds)
+    cols = [line.split(",") for line in ens_lines[1:]]
+    tb, a, f = (np.array([float(c[i]) for c in cols]) for i in (2, 3, 4))
+    assert np.allclose(f, drift_value_summary(tb, a, ds, exp.model), rtol=1e-12, atol=1e-12)
+    assert [c[5] == "true" for c in cols] == list(spec.contains(a))
 
 
 def test_simulate_se_scales_with_chain_count(tmp_path):

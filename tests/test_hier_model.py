@@ -174,6 +174,15 @@ def test_band_membership_boundaries():
     assert not in_large_set(state_with_a(3.0 + 1e-9), spec)
 
 
+def test_band_membership_is_the_chains_interval_rule():
+    # at A = a_high the squared-distance form (c - A)^2 <= (c - T)^2 rounds
+    # to "outside" here, while every chain tests a_low <= A <= a_high
+    spec = LargeSetSpec(T=1.0376289339251905, center=2.5612608596293565)
+    ds = classic_data()
+    for a in (spec.a_low, spec.a_high):
+        assert in_large_set(make_state(0.0, a, np.full(ds.n, ds.y_bar)), spec)
+
+
 # ---------------------------------------------------------------------------
 # kernel and conditional moments
 # ---------------------------------------------------------------------------

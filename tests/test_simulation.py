@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from driftbound._marginal import MarginalKernel, run_summary_chain
 from driftbound.hier_model import (
     LargeSetSpec,
     ModelConfig,
+    ModelError,
     data_center,
     default_large_set,
     drift_offset_b,
-    drift_value,
     expected_drift,
     gibbs_step,
     initial_state,
@@ -20,18 +22,16 @@ from driftbound.hier_model import (
 )
 from driftbound.numerics import RngStream, integrate
 from driftbound.simulation import (
+    ENSEMBLE_STREAM_BASE,
     BinGrid,
     HittingStats,
     SimulationError,
     SimulationPlan,
-    TraceRecord,
-    exit_probability_estimate,
     hitting_time_stats,
-    restricted_kernel_step,
     run_ensemble,
+    run_reference_chain,
     run_restricted_chain,
     run_trace_chain,
-    trace_chain_transform,
     tv_lower_bound_estimate,
 )
 
@@ -82,15 +82,13 @@ def test_chain_streams_do_not_depend_on_ensemble_width(tight100):
 def test_location_update_law_large_sample():
     # the first sub-step draws mu' ~ N(theta_bar, A/n); at theta_bar = 0,
     # A = 1, n = 100 one million draws match (0, 0.01) within 4 SE
-    from driftbound._marginal import MarginalKernel
-
     ds = synth_dataset(100, 2.0, CLASSIC, RngStream(7, 0), exact_center=True)
     kernel = MarginalKernel(ds, CLASSIC)
     g = RngStream(83, 0)
     z, w, gam = kernel.draw_block(g, 1_000_000)
     tb = np.zeros(1_000_000)
     a = np.ones(1_000_000)
-    mu1, _, _, _ = kernel.step_arrays(tb, a, z[:, 0], z[:, 1], z[:, 2], w, gam)
+    mu1, _, _ = kernel.step_arrays(tb, a, z[:, 0], z[:, 1], z[:, 2], w, gam)
     n_draws = mu1.size
     assert abs(mu1.mean() - 0.0) <= 4.0 * mu1.std() / math.sqrt(n_draws)
     assert abs(mu1.var() - 0.01) <= 4.0 * 0.01 * math.sqrt(2.0 / n_draws)
@@ -114,41 +112,11 @@ def test_band_fraction_dominated_by_tail_budget(tight100):
         assert 1.0 - summary.in_band_fraction[k - 1] <= budget + 1e-12
 
 
-def test_trace_records_consistent_with_energy(tight100):
-    ds, spec, x0 = tight100
-    plan = SimulationPlan(n_chains=4, n_steps=10, seed=17, record_stride=2)
-    summary = run_ensemble(plan, ds, TIGHT, x0, large_set=spec)
-    recs = summary.trace_records(2, ds, TIGHT, spec)
-    assert [r.step for r in recs] == [2, 4, 6, 8, 10]
-    for rec in recs:
-        again = drift_value(make_state(0.0, rec.A, np.full(ds.n, rec.theta_bar)), ds, TIGHT)
-        assert rec.f_value == pytest.approx(again, abs=1e-10, rel=1e-10)
-
-
-def test_trace_chain_transform_rules():
-    spec = LargeSetSpec(T=1.0, center=2.0)
-
-    def rec(step, a):
-        return TraceRecord(step=step, theta_bar=0.0, A=a, f_value=0.0,
-                           in_large_set=bool(1.0 <= a <= 3.0))
-
-    stay = [rec(i, 2.0) for i in range(6)]
-    assert [r.step for r in trace_chain_transform(stay, spec)] == list(range(6))
-
-    excurse = [rec(0, 2.0), rec(1, 3.5), rec(2, 3.6), rec(3, 3.7), rec(4, 2.1), rec(5, 2.0)]
-    out = trace_chain_transform(excurse, spec)
-    assert len(out) == len(excurse) - 3
-    assert [r.step for r in out] == [0, 1, 2]
-
-    with pytest.raises(SimulationError):
-        trace_chain_transform([rec(0, 9.0)], spec)
-
-
 def test_restricted_step_matches_unrestricted_under_shared_randomness(tight100):
     ds, _, x0 = tight100
     wide = LargeSetSpec(T=1e-9, center=data_center(ds, TIGHT))
     plain = gibbs_step(x0, ds, TIGHT, RngStream(41, 5))
-    restricted = restricted_kernel_step(x0, ds, TIGHT, wide, RngStream(41, 5))
+    restricted = gibbs_step(x0, ds, TIGHT, RngStream(41, 5), band=wide)
     assert plain.mu == restricted.mu
     assert np.array_equal(plain.theta, restricted.theta)
     assert plain.A == restricted.A
@@ -158,12 +126,68 @@ def test_restricted_step_keeps_a_on_rejection(tight100):
     ds, _, x0 = tight100
     c = data_center(ds, TIGHT)
     narrow = LargeSetSpec(T=c * (1.0 - 1e-9), center=c)
-    out = restricted_kernel_step(x0, ds, TIGHT, narrow, RngStream(43, 0))
+    out = gibbs_step(x0, ds, TIGHT, RngStream(43, 0), band=narrow)
     assert out.A == x0.A
     assert not np.array_equal(out.theta, x0.theta)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ModelError):
         bad = make_state(0.0, c * 3.0, np.full(ds.n, ds.y_bar))
-        restricted_kernel_step(bad, ds, TIGHT, narrow, RngStream(43, 1))
+        gibbs_step(bad, ds, TIGHT, RngStream(43, 1), band=narrow)
+
+
+def test_ensemble_chain_equals_scalar_reference_chain(tight100):
+    # the array sweep of run_ensemble and the float sweep of the long-chain
+    # loop agree bit for bit on the same stream
+    ds, _, x0 = tight100
+    plan = SimulationPlan(n_chains=20, n_steps=300, seed=5, record_stride=1)
+    summary = run_ensemble(plan, ds, TIGHT, x0)
+    for i in range(plan.n_chains):
+        tb, aa = run_reference_chain(ds, TIGHT, RngStream(5, ENSEMBLE_STREAM_BASE + i),
+                                     plan.n_steps, 0, x0=x0)
+        assert np.array_equal(summary.recorded_theta_bar[:, i], tb)
+        assert np.array_equal(summary.recorded_A[:, i], aa)
+
+
+def test_step_arrays_band_equals_restricted_summary_chain(tight100):
+    ds, _, x0 = tight100
+    c = data_center(ds, TIGHT)
+    narrow = LargeSetSpec(T=0.97 * c, center=c)
+    kernel = MarginalKernel(ds, TIGHT)
+    n_steps = 300
+    z, w, gam = kernel.draw_block(RngStream(79, 2), n_steps)
+    tb, aa = np.array([x0.theta_bar]), np.array([x0.A])
+    path_tb, path_a = [], []
+    for t in range(n_steps):
+        _, tb, aa = kernel.step_arrays(tb, aa, z[t, 0], z[t, 1], z[t, 2], w[t], gam[t],
+                                       band=narrow)
+        path_tb.append(tb[0])
+        path_a.append(aa[0])
+    ref_tb, ref_a, _ = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
+                                         RngStream(79, 2), restrict=narrow)
+    assert np.array_equal(np.array(path_tb), ref_tb)
+    assert np.array_equal(np.array(path_a), ref_a)
+    # the band bites: some proposals were rejected, so A repeats
+    assert np.count_nonzero(np.diff(ref_a) == 0.0) > 0
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_summary_recursion_has_the_law_of_the_full_sweep(restricted):
+    # one step from an off-center state: 200k summary-recursion draws against
+    # 20k full-latent sweeps, two-sample KS on theta_bar' and on A'
+    ds = synth_dataset(20, 2.0, CLASSIC, RngStream(7, 0), exact_center=True)
+    band = default_large_set(ds, CLASSIC) if restricted else None
+    x0 = make_state(0.0, 2.6, ds.y + 0.5)
+    kernel = MarginalKernel(ds, CLASSIC)
+    n_fast, n_full = 200_000, 20_000
+    z, w, gam = kernel.draw_block(RngStream(89, 0), n_fast)
+    _, tb1, a1 = kernel.step_arrays(np.full(n_fast, x0.theta_bar), np.full(n_fast, x0.A),
+                                    z[:, 0], z[:, 1], z[:, 2], w, gam, band=band)
+    stream = RngStream(97, 0)
+    full = [gibbs_step(x0, ds, CLASSIC, stream, band=band) for _ in range(n_full)]
+    assert ks_2samp(tb1, [x.theta_bar for x in full]).pvalue > 1e-3
+    assert ks_2samp(a1, [x.A for x in full]).pvalue > 1e-3
+    if restricted:
+        # about one proposal in seven leaves [1, 3] from A = 2.6
+        assert np.mean(a1 == x0.A) > 0.1
 
 
 def test_restricted_chain_stays_in_band(tight100):
@@ -250,18 +274,12 @@ def test_tv_frozen_shifted_normal():
     assert est >= truth - 0.05
 
 
-def test_exit_probability_estimate(tight100):
-    ds, spec, x0 = tight100
+def test_almost_complete_band_is_almost_never_left(tight100):
+    ds, _, x0 = tight100
     plan = SimulationPlan(n_chains=5_000, n_steps=6, seed=67)
-    est = exit_probability_estimate(plan, ds, TIGHT, spec, x0)
-    assert np.all((est.exit_frequency >= 0.0) & (est.exit_frequency <= 1.0))
-    expected_se = np.sqrt(est.exit_frequency * (1 - est.exit_frequency) / plan.n_chains)
-    assert np.allclose(est.standard_error, expected_se)
-    assert est.cumulative(3) == pytest.approx(float(est.exit_frequency[:3].sum()))
-    # an almost-complete band is almost never left
     wide = LargeSetSpec(T=1e-9, center=data_center(ds, TIGHT))
-    est_wide = exit_probability_estimate(plan, ds, TIGHT, wide, x0)
-    assert est_wide.exit_frequency.max() <= 1e-3
+    summary = run_ensemble(plan, ds, TIGHT, x0, large_set=wide, record_states=False)
+    assert (1.0 - summary.in_band_fraction).max() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
