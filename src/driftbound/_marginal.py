@@ -21,6 +21,10 @@ chi-square remainder with n-2 degrees of freedom.
 
 Per-step draw layout (fixed; reproducibility depends on it):
 three standard normals (Z0, Z1, Z2), one chi-square, one standard gamma.
+
+The long-chain loop :func:`run_summary_chain` records the state after every
+step; burn-in and the induced chain on a band are a slice and a mask of
+that path, taken by its callers (see simulation).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 
 import numpy as np
 
-from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
+from .hier_model import Dataset, LargeSetSpec, ModelConfig
 from .numerics import RngStream
 
 
@@ -55,18 +59,15 @@ def _make_sweep(sqrt, n, v, ybar, sqrt_delta, b_prior):
 
 
 class MarginalKernel:
-    """The summary-state sweep, its per-step draw layout and the energy.
+    """The summary-state sweep and its per-step draw layout.
 
     The sweep is built once from the model constants, for Python floats
     (:func:`run_summary_chain`) and for arrays (:meth:`step_arrays`).
     """
 
-    __slots__ = ("n", "ybar", "center", "a1", "df", "_scalar_sweep", "_array_sweep")
+    __slots__ = ("a1", "df", "_scalar_sweep", "_array_sweep")
 
     def __init__(self, ds: Dataset, cfg: ModelConfig):
-        self.n = ds.n
-        self.ybar = ds.y_bar
-        self.center = data_center(ds, cfg)
         self.a1 = cfg.prior_shape_a + 0.5 * (ds.n - 1)
         self.df = ds.n - 2
         consts = (ds.n, cfg.V, ds.y_bar, math.sqrt(ds.delta), cfg.prior_scale_b)
@@ -92,9 +93,10 @@ class MarginalKernel:
             a_new = np.where(band.contains(a_new), a_new, a)
         return mu1, tb1, a_new
 
-    def energy(self, tb, a):
-        """The drift function n*((theta_bar - y_bar)^2 + (center - A)^2)."""
-        return self.n * ((tb - self.ybar) ** 2 + (self.center - a) ** 2)
+
+# draws per block of the long-chain loop; a block boundary fixes where the
+# normals of one block end and its chi-squares begin, so it never moves
+_BLOCK = 1_000_000
 
 
 def run_summary_chain(
@@ -102,66 +104,33 @@ def run_summary_chain(
     start: tuple[float, float],
     n_steps: int,
     stream: RngStream,
-    burn_in: int = 0,
-    thin: int = 1,
-    restrict: LargeSetSpec | None = None,
-    keep_only_in: LargeSetSpec | None = None,
+    band: LargeSetSpec | None = None,
 ):
-    """Sequential summary chain; returns recorded (theta_bar, A) arrays.
+    """Sequential summary chain; returns the (theta_bar, A) path after each
+    of its ``n_steps`` steps as two arrays, the final state last.
 
-    ``restrict`` applies the per-sub-step rejection construction: an A'
-    proposal landing outside the band is discarded and A kept (the mu and
-    theta stages cannot leave a band that constrains A alone).
-    ``keep_only_in`` instead records only the steps whose state lies in the
-    band ("stopping the clock"): the recorded sequence is the induced chain
-    on the band.  Recording starts after ``burn_in`` steps, every ``thin``-th
-    eligible step.  The inner loop runs the kernel's sweep on Python floats
-    from pre-drawn blocks; the draw sequence matches draw_block exactly.
-
-    Returns ``(theta_bar_records, a_records, (theta_bar, a))`` with the
-    final state last so callers can continue the chain.
+    With ``band``, the per-sub-step rejection construction: an A' proposal
+    landing outside the band is discarded and A kept (the mu and theta
+    stages cannot leave a band that constrains A alone).  The inner loop
+    runs the kernel's sweep on Python floats from pre-drawn blocks; the
+    draw sequence matches draw_block exactly.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if restrict is not None and keep_only_in is not None:
-        raise ValueError("restrict and keep_only_in are mutually exclusive")
     sweep = kernel._scalar_sweep
-    lo = hi = None
-    if restrict is not None:
-        lo, hi = restrict.a_low, restrict.a_high
-    klo = khi = None
-    if keep_only_in is not None:
-        klo, khi = keep_only_in.a_low, keep_only_in.a_high
-
-    cap = n_steps if keep_only_in is not None else max(0, (n_steps - burn_in + thin - 1) // thin)
-    out_tb = np.empty(cap)
-    out_a = np.empty(cap)
-    n_rec = 0
-
+    lo, hi = (band.a_low, band.a_high) if band is not None else (-math.inf, math.inf)
+    out_tb = np.empty(n_steps)
+    out_a = np.empty(n_steps)
     tb, a = float(start[0]), float(start[1])
-    block = 1_000_000
-    done = 0
-    next_record = burn_in
-    while done < n_steps:
-        m = min(block, n_steps - done)
+    for done in range(0, n_steps, _BLOCK):
+        m = min(_BLOCK, n_steps - done)
         z, w, gam = kernel.draw_block(stream, m)
         draws = zip(z[:, 0].tolist(), z[:, 1].tolist(), z[:, 2].tolist(),
                     w.tolist(), gam.tolist())
         for t, (z0, z1, z2, wi, gi) in enumerate(draws, done):
             _, tb, a_new = sweep(tb, a, z0, z1, z2, wi, gi)
-            if lo is None or lo <= a_new <= hi:
+            if lo <= a_new <= hi:
                 a = a_new
-            if t >= next_record:
-                if klo is not None:
-                    if klo <= a <= khi:
-                        out_tb[n_rec] = tb
-                        out_a[n_rec] = a
-                        n_rec += 1
-                    next_record = t + 1
-                else:
-                    out_tb[n_rec] = tb
-                    out_a[n_rec] = a
-                    n_rec += 1
-                    next_record = t + thin
-        done += m
-    return out_tb[:n_rec].copy(), out_a[:n_rec].copy(), (tb, a)
+            out_tb[t] = tb
+            out_a[t] = a
+    return out_tb, out_a

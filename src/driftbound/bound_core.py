@@ -175,27 +175,20 @@ def optimal_r(alpha: float, Lambda: float, eps_q: float) -> tuple[float, float]:
 def derived_constants(
     p: DriftParameters,
     m: MinorizationCertificate,
-    r_override: float | None = None,
 ) -> DerivedConstants:
     """Assemble DerivedConstants from drift and minorization certificates.
 
-    With the default balanced r, the identity
+    With the balanced r, the identity
     (1-eps*q)^r == alpha^-1 (alpha*Lambda)^r is verified to 1e-12 relative.
     """
     alpha, lam_cap = derive_alpha_lambda(p)
     eps_q = m.epsilon * m.q_mass_lower
     if eps_q <= 0.0:
         raise BoundError("no minorization mass (eps_q <= 0)")
-    if r_override is None:
-        r, gamma = optimal_r(alpha, lam_cap, eps_q)
-        other = math.exp(r * math.log(alpha * lam_cap) - math.log(alpha))
-        if abs(gamma - other) > 1e-12 * abs(gamma):
-            raise BoundError("balanced-rate identity failed beyond 1e-12 relative error")
-    else:
-        if not (0.0 < r_override < 1.0):
-            raise BoundError(f"r must lie in (0,1), got {r_override!r}")
-        r = r_override
-        gamma = math.exp(r * math.log1p(-eps_q))
+    r, gamma = optimal_r(alpha, lam_cap, eps_q)
+    other = math.exp(r * math.log(alpha * lam_cap) - math.log(alpha))
+    if abs(gamma - other) > 1e-12 * abs(gamma):
+        raise BoundError("balanced-rate identity failed beyond 1e-12 relative error")
     log_inv_gamma = -r * math.log1p(-eps_q)
     return DerivedConstants(
         alpha=alpha, Lambda=lam_cap, r=r, gamma=gamma, log_inv_gamma=log_inv_gamma
@@ -241,12 +234,11 @@ def classic_bound(
     p: DriftParameters,
     epsilon: float,
     k: int,
-    r_override: float | None = None,
 ) -> float:
     """Certificate with the whole space as the good set: full minorization
     mass and no exit terms."""
     m = MinorizationCertificate(epsilon=epsilon, q_mass_lower=1.0)
-    dc = derived_constants(p, m, r_override=r_override)
+    dc = derived_constants(p, m)
     return evaluate_bound(p, m, dc, TailSequence.zero(), k)
 
 
@@ -256,7 +248,6 @@ def mixing_time_certificate(
     C3: float,
     gamma: float,
     c: float,
-    n_floor: int = 1,
     log_inv_gamma: float | None = None,
 ) -> tuple[int, int]:
     """Step and sample-size thresholds certifying distance <= c.
@@ -265,7 +256,7 @@ def mixing_time_certificate(
     into equal budgets of c/3 gives a step count
     ``K_bar = ceil[(log C1 - log(c/3)) / log(1/gamma)]`` (at least 1) and a
     sample-size threshold
-    ``N_c = ceil max{n_floor, (K_bar*3*C3/c)^2, ((K_bar+1)*sqrt(3*C3/c))^2}``
+    ``N_c = ceil max{1, (K_bar*3*C3/c)^2, ((K_bar+1)*sqrt(3*C3/c))^2}``
     past which K_bar steps suffice.  ``log_inv_gamma``, when supplied,
     replaces log(1/gamma) exactly (needed when gamma rounds to 1.0).
     """
@@ -279,11 +270,9 @@ def mixing_time_certificate(
         raise BoundError("C1, C2, C3 must be positive")
     if not (0.0 < c < 1.0):
         raise BoundError(f"c must lie in (0,1), got {c!r}")
-    if n_floor < 1:
-        raise BoundError("n_floor must be >= 1")
     k_bar = max(1, math.ceil((math.log(C1) - math.log(c / 3.0)) / log_inv_gamma))
     n_c = max(
-        float(n_floor),
+        1.0,
         (k_bar * 3.0 * C3 / c) ** 2,
         ((k_bar + 1.0) * math.sqrt(3.0 * C3 / c)) ** 2,
     )

@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance
-from ._marginal import MarginalKernel
 from .bound_core import BoundError
 from .hier_model import (
     Dataset,
@@ -46,9 +45,8 @@ from .hier_model import (
     check_data_assumption,
     data_center,
     default_large_set,
-    drift_offset_b,
+    drift_value_summary,
     initial_state,
-    lambda_T,
     sufficient_stats,
     synth_dataset,
 )
@@ -70,6 +68,8 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_NUMERICAL = 2
 _EXIT_VALIDATION = 3
+
+_SYNTH_RESAMPLES = 100  # synth-data draws tried before giving up
 
 
 class ConfigError(Exception):
@@ -321,11 +321,10 @@ def _assemble(cfg: ExperimentConfig, ds: Dataset, k_max: int | None = None) -> G
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth_data(cfg: ExperimentConfig, n: int, center: float, out_file: Path,
-                   max_resamples: int = 100) -> int:
+def cmd_synth_data(cfg: ExperimentConfig, n: int, center: float, out_file: Path) -> int:
     """Draw from the model until the dispersion margin holds; write the file."""
     started = time.monotonic()
-    for attempt in range(max_resamples):
+    for attempt in range(_SYNTH_RESAMPLES):
         stream = RngStream(cfg.seed, DATA_STREAM + 10_000 * attempt)
         ds = synth_dataset(n, center, cfg.model, stream)
         if check_data_assumption(ds, cfg.model):
@@ -340,7 +339,7 @@ def cmd_synth_data(cfg: ExperimentConfig, n: int, center: float, out_file: Path,
             return _EXIT_OK
     print(
         f"error: no draw satisfied dispersion >= V + delta = "
-        f"{cfg.model.V + cfg.model.delta_margin:.6g} after {max_resamples} resamples",
+        f"{cfg.model.V + cfg.model.delta_margin:.6g} after {_SYNTH_RESAMPLES} resamples",
         file=sys.stderr,
     )
     return _EXIT_NUMERICAL
@@ -394,8 +393,9 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
     """One certificate row per sample size, fixed center, shared small-set level.
 
     The level d comes from the config when pinned and otherwise from the
-    default rule evaluated on the first feasible row, then stays fixed so
-    the sweep probes how the remaining constants move with n alone.  Every
+    certificate of the first row that certifies (its default level), then
+    stays fixed so the sweep probes how the remaining constants move with n
+    alone.  Every
     row and the manifest are written even when some rows fail; the exit
     code is then _EXIT_NUMERICAL.
     """
@@ -415,16 +415,13 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
                 RngStream(cfg.seed, DATA_STREAM),
                 exact_center=bool(synth.get("exact_center", False)),
             )
-            if d_fixed is None:
-                spec = cfg.resolve_large_set(ds)
-                b0 = drift_offset_b(ds, cfg.model, spec)
-                d_fixed = 2.5 * b0 / (1.0 - lambda_T(spec, cfg.model.V))
             report = assemble_gibbs_bound(
                 ds, cfg.model,
                 large_set=cfg.resolve_large_set(ds),
                 d=d_fixed, k_max=1, mix_target_c=cfg.mix_target_c,
             )
             bc = report.constants
+            d_fixed = bc.d_small
             rows.append([n, bc.lambda_T, bc.b_drift, bc.d_small, bc.epsilon,
                          bc.q_mass_lower, bc.gamma, report.K_bar, report.N_c, "ok"])
         except (ModelError, BoundError, MinorizationError, NumericsError) as exc:
@@ -488,11 +485,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     ens_path = out_dir / "ensemble.csv"
     ens_rows = []
     if summary.recorded_theta_bar is not None:
-        kernel = MarginalKernel(ds, cfg.model)
         for r, step in enumerate(summary.recorded_steps):
             tb_row = summary.recorded_theta_bar[r]
             a_row = summary.recorded_A[r]
-            f_row = kernel.energy(tb_row, a_row)
+            f_row = drift_value_summary(tb_row, a_row, ds, cfg.model)
             inb = spec.contains(a_row)
             for chain in range(plan.n_chains):
                 ens_rows.append([chain, step, tb_row[chain], a_row[chain],

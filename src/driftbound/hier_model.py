@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+_B_SAFETY = 1.01  # inflation of the drift-offset supremum over optimizer tolerance
+_B_GRID_POINTS = 2001  # scan points of the drift-offset maximization
 
 
 class ModelError(Exception):
@@ -110,12 +112,6 @@ class Dataset:
             raise ModelError(f"cached delta={self.delta!r} inconsistent with data (got {delta!r})")
         if self.delta < 0.0:
             raise ModelError("delta must be >= 0")
-
-    @property
-    def center(self) -> float:
-        """delta/(n-1) - V is the natural A-scale only jointly with a config;
-        this is the data part delta/(n-1)."""
-        return self.delta / (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -337,11 +333,11 @@ def drift_value(x: ChainState, ds: Dataset, cfg: ModelConfig) -> float:
 
 
 def drift_value_summary(theta_bar, A, ds: Dataset, cfg: ModelConfig):
-    """Energy n*(theta_bar - y_bar)^2 + n*(center - A)^2; array-friendly."""
+    """Energy n*((theta_bar - y_bar)^2 + (center - A)^2); array-friendly."""
     c = data_center(ds, cfg)
     theta_bar = np.asarray(theta_bar, dtype=float)
     A = np.asarray(A, dtype=float)
-    out = ds.n * (theta_bar - ds.y_bar) ** 2 + ds.n * (c - A) ** 2
+    out = ds.n * ((theta_bar - ds.y_bar) ** 2 + (c - A) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -503,8 +499,6 @@ def drift_offset_b(
     ds: Dataset,
     cfg: ModelConfig,
     spec: LargeSetSpec,
-    safety: float = 1.01,
-    grid_points: int = 2001,
 ) -> float:
     """Numeric drift offset: supremum over the retained band of the exact
     one-sweep energy gain beyond the pointwise contraction.
@@ -514,7 +508,7 @@ def drift_offset_b(
     for every A >= 0; that reduction is re-verified numerically on a grid.
     Maximizing against the pointwise factor dominates the threshold-factor
     deficit as well, since lambda_factor(A) <= lambda_T on the band.  The
-    result is inflated by ``safety`` to absorb optimizer tolerance.
+    result is inflated by 1 % (``_B_SAFETY``) to absorb optimizer tolerance.
     """
     v = cfg.V
 
@@ -524,7 +518,7 @@ def drift_offset_b(
 
     _, neg_sup = minimize_scalar(neg_deficit, spec.a_low, spec.a_high,
                                  tol=1e-10 * (spec.a_high - spec.a_low),
-                                 grid_points=grid_points)
+                                 grid_points=_B_GRID_POINTS)
     b_sup = -neg_sup
     if not (math.isfinite(b_sup) and b_sup >= 0.0):
         raise ModelError(f"drift offset supremum is not a finite nonnegative value: {b_sup!r}")
@@ -538,7 +532,7 @@ def drift_offset_b(
         )
         if np.any(dev > b_sup + 1e-9 * (1.0 + b_sup)):
             raise ModelError("theta_bar reduction failed: off-center state beats the supremum")
-    return b_sup * safety
+    return b_sup * _B_SAFETY
 
 
 def tail_probability_bound(

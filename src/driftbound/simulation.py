@@ -29,6 +29,7 @@ from .hier_model import (
     Dataset,
     LargeSetSpec,
     ModelConfig,
+    drift_value_summary,
     in_large_set,
     initial_state,
 )
@@ -62,6 +63,7 @@ ENSEMBLE_STREAM_BASE = 1_000_000
 PAIR_STREAM_BASE = 3_000_000
 
 _CHUNK = 4096  # chains per work unit; fixed so threading cannot change results
+_J_MAX = 5  # joint returns recorded per pair
 
 
 def _draw_streams(kernel: MarginalKernel, seed: int, indices: np.ndarray, n_steps: int):
@@ -210,7 +212,7 @@ def run_ensemble(
         )
         for t in range(n_steps):
             _, tb, a = kernel.step_arrays(tb, a, *draws[:, :, t])
-            f = kernel.energy(tb, a)
+            f = drift_value_summary(tb, a, ds, cfg)
             sum_f[chunk_id, t] = f.sum()
             sum_f_sq[chunk_id, t] = (f * f).sum()
             if large_set is not None:
@@ -264,16 +266,14 @@ def run_reference_chain(
     stream: RngStream,
     n_steps: int,
     burn_in: int,
-    x0: ChainState | None = None,
-    thin: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Long single chain standing in for the stationary law; returns
-    post-burn-in (theta_bar, A) samples."""
-    x = x0 if x0 is not None else initial_state(ds, cfg)
-    kernel = MarginalKernel(ds, cfg)
-    tb, a, _ = run_summary_chain(kernel, (x.theta_bar, x.A), burn_in + n_steps, stream,
-                                 burn_in=burn_in, thin=thin)
-    return tb, a
+    """Long single chain from the canonical start standing in for the
+    stationary law; returns the ``n_steps`` (theta_bar, A) samples after
+    ``burn_in``."""
+    x = initial_state(ds, cfg)
+    tb, a = run_summary_chain(MarginalKernel(ds, cfg), (x.theta_bar, x.A), burn_in + n_steps,
+                              stream)
+    return tb[burn_in:], a[burn_in:]
 
 
 def run_restricted_chain(
@@ -283,16 +283,16 @@ def run_restricted_chain(
     stream: RngStream,
     n_steps: int,
     burn_in: int,
-    x0: ChainState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain under the per-sub-step rejection kernel on the retained band."""
-    x_start = x0 if x0 is not None else initial_state(ds, cfg)
-    if not in_large_set(x_start, spec):
+    """Chain under the per-sub-step rejection kernel on the retained band,
+    from the canonical start; returns the ``n_steps`` samples after
+    ``burn_in``."""
+    x = initial_state(ds, cfg)
+    if not in_large_set(x, spec):
         raise SimulationError("start state lies outside the retained band")
-    kernel = MarginalKernel(ds, cfg)
-    tb, a, _ = run_summary_chain(kernel, (x_start.theta_bar, x_start.A), burn_in + n_steps,
-                                 stream, burn_in=burn_in, restrict=spec)
-    return tb, a
+    tb, a = run_summary_chain(MarginalKernel(ds, cfg), (x.theta_bar, x.A), burn_in + n_steps,
+                              stream, band=spec)
+    return tb[burn_in:], a[burn_in:]
 
 
 def run_trace_chain(
@@ -302,21 +302,19 @@ def run_trace_chain(
     stream: RngStream,
     n_samples: int,
     burn_in: int,
-    x0: ChainState | None = None,
-    max_steps: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Induced chain on the band: run the unrestricted chain and keep only
-    the in-band steps, re-indexed consecutively, until n_samples are held."""
-    x = x0 if x0 is not None else initial_state(ds, cfg)
+    """Induced chain on the band: run the unrestricted chain from the
+    canonical start and keep only its in-band states after ``burn_in``
+    steps, re-indexed consecutively, until n_samples are held."""
+    x = initial_state(ds, cfg)
     kernel = MarginalKernel(ds, cfg)
-    cap = max_steps if max_steps is not None else 50 * n_samples + burn_in
+    cap = 50 * n_samples + burn_in
     tb_parts: list[np.ndarray] = []
     a_parts: list[np.ndarray] = []
     got = 0
     used = 0
     seg = max(2 * n_samples, 1_000_000)
     state = (x.theta_bar, x.A)
-    first = True
     while got < n_samples:
         if used >= cap:
             raise SimulationError(
@@ -324,19 +322,15 @@ def run_trace_chain(
                 f"needed {n_samples}"
             )
         m = min(seg, cap - used)
-        tb, a, state = run_summary_chain(
-            kernel, state, m, stream,
-            burn_in=burn_in if first else 0,
-            keep_only_in=spec,
-        )
-        first = False
+        tb, a = run_summary_chain(kernel, state, m, stream)
+        state = (tb[-1], a[-1])
+        skip = max(burn_in - used, 0)
         used += m
-        tb_parts.append(tb)
-        a_parts.append(a)
-        got += tb.size
-    tb_all = np.concatenate(tb_parts)[:n_samples]
-    a_all = np.concatenate(a_parts)[:n_samples]
-    return tb_all, a_all
+        keep = spec.contains(a[skip:])
+        tb_parts.append(tb[skip:][keep])
+        a_parts.append(a[skip:][keep])
+        got += tb_parts[-1].size
+    return np.concatenate(tb_parts)[:n_samples], np.concatenate(a_parts)[:n_samples]
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +465,10 @@ def hitting_time_stats(
     d_small: float,
     alpha: float,
     seed: int,
-    j_max: int = 5,
-    x0: ChainState | None = None,
 ) -> HittingStats:
-    """Simulate independent pairs of band-restricted chains and record the
-    first ``j_max`` joint returns to the sublevel set {f <= d_small}.
+    """Simulate independent pairs of band-restricted chains from the
+    canonical start and record the first five (``_J_MAX``) joint returns to
+    the sublevel set {f <= d_small}.
 
     Pair p drives its two chains with streams (seed, PAIR_STREAM_BASE + 2p)
     and (seed, PAIR_STREAM_BASE + 2p + 1).  Time starts at m = 0 with the
@@ -484,13 +477,13 @@ def hitting_time_stats(
     """
     if alpha <= 1.0:
         raise SimulationError(f"alpha must exceed 1, got {alpha!r}")
-    if n_pairs < 1 or n_steps < 1 or j_max < 1:
-        raise SimulationError("n_pairs, n_steps, j_max must be >= 1")
-    start = x0 if x0 is not None else initial_state(ds, cfg)
+    if n_pairs < 1 or n_steps < 1:
+        raise SimulationError("n_pairs and n_steps must be >= 1")
+    start = initial_state(ds, cfg)
     if not in_large_set(start, spec):
         raise SimulationError("start state lies outside the retained band")
     kernel = MarginalKernel(ds, cfg)
-    t_matrix = np.full((n_pairs, j_max), -1, dtype=np.int64)
+    t_matrix = np.full((n_pairs, _J_MAX), -1, dtype=np.int64)
     for base in range(0, n_pairs, _CHUNK):
         pairs = np.arange(base, min(base + _CHUNK, n_pairs))
         # both chains of every pair step at once: side on axis 0, pair on axis 1
@@ -503,8 +496,8 @@ def hitting_time_stats(
         for t in range(n_steps):
             if t:
                 _, tb, aa = kernel.step_arrays(tb, aa, *draws[..., t - 1], band=spec)
-            both = (kernel.energy(tb, aa) <= d_small).all(axis=0)
-            sel = np.nonzero(both & (hits < j_max))[0]
+            both = (drift_value_summary(tb, aa, ds, cfg) <= d_small).all(axis=0)
+            sel = np.nonzero(both & (hits < _J_MAX))[0]
             t_matrix[base + sel, hits[sel]] = t
             hits[sel] += 1
 

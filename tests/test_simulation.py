@@ -142,7 +142,7 @@ def test_ensemble_chain_equals_scalar_reference_chain(tight100):
     summary = run_ensemble(plan, ds, TIGHT, x0)
     for i in range(plan.n_chains):
         tb, aa = run_reference_chain(ds, TIGHT, RngStream(5, ENSEMBLE_STREAM_BASE + i),
-                                     plan.n_steps, 0, x0=x0)
+                                     plan.n_steps, 0)
         assert np.array_equal(summary.recorded_theta_bar[:, i], tb)
         assert np.array_equal(summary.recorded_A[:, i], aa)
 
@@ -161,8 +161,8 @@ def test_step_arrays_band_equals_restricted_summary_chain(tight100):
                                        band=narrow)
         path_tb.append(tb[0])
         path_a.append(aa[0])
-    ref_tb, ref_a, _ = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
-                                         RngStream(79, 2), restrict=narrow)
+    ref_tb, ref_a = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
+                                      RngStream(79, 2), band=narrow)
     assert np.array_equal(np.array(path_tb), ref_tb)
     assert np.array_equal(np.array(path_a), ref_a)
     # the band bites: some proposals were rejected, so A repeats
@@ -203,6 +203,20 @@ def test_trace_chain_collects_requested_samples():
     tb, aa = run_trace_chain(ds, CLASSIC, spec, RngStream(53, 0), 30_000, 2_000)
     assert tb.size == 30_000
     assert np.all((aa >= spec.a_low) & (aa <= spec.a_high))
+
+
+def test_trace_chain_burn_in_spans_segments():
+    # a burn-in longer than the first 1M-step segment: the induced chain is
+    # the in-band part of the reference chain on the same stream, from the
+    # same step on
+    ds = synth_dataset(20, 2.0, CLASSIC, RngStream(7, 0), exact_center=True)
+    spec = default_large_set(ds, CLASSIC)
+    burn_in = 1_200_000
+    tb, aa = run_trace_chain(ds, CLASSIC, spec, RngStream(53, 1), 1000, burn_in)
+    ref_tb, ref_a = run_reference_chain(ds, CLASSIC, RngStream(53, 1), 50_000, burn_in)
+    keep = spec.contains(ref_a)
+    assert np.array_equal(tb, ref_tb[keep][:1000])
+    assert np.array_equal(aa, ref_a[keep][:1000])
 
 
 # ---------------------------------------------------------------------------
