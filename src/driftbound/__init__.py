@@ -2,8 +2,7 @@
 
 The package splits into:
 
-- :mod:`driftbound.numerics` -- quadrature, scalar minimization and keyed
-  random streams;
+- :mod:`driftbound.numerics` -- quadrature and keyed random streams;
 - :mod:`driftbound.bound_core` -- model-agnostic drift/minorization
   certificates and their evaluation;
 - :mod:`driftbound.hier_model` -- the two-level normal model, its Gibbs
@@ -59,5 +58,4 @@ from .numerics import (  # noqa: F401
     RngStream,
     integrate,
     integrate_halfline,
-    minimize_scalar,
 )

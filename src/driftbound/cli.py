@@ -611,7 +611,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound-curve":
             return cmd_bound_curve(cfg, out_dir)
         if args.command == "sweep-n":
-            n_list = [int(tok) for tok in str(args.n_list).split(",") if tok.strip()]
+            n_list = []
+            for tok in filter(str.strip, str(args.n_list).split(",")):
+                try:
+                    n_list.append(int(tok))
+                except ValueError:
+                    raise ConfigError(f"--n-list entry {tok.strip()!r} is not an integer")
             if not n_list:
                 raise ConfigError("--n-list must contain at least one sample size")
             return cmd_sweep_n(cfg, n_list, out_dir)

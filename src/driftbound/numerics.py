@@ -1,11 +1,10 @@
 """Deterministic numerical kernels shared by the whole package.
 
-Adaptive Gauss-Kronrod quadrature (finite interval and half line), grid-scan
-scalar minimization with golden-section refinement, and seeded random
-streams.  Everything here is pure given its inputs; randomness lives only
-inside :class:`RngStream`, which wraps a counter-based generator keyed by
-``(seed, stream_index)`` so equal keys replay the same sequence bit for bit
-and distinct indices give independent streams.
+Adaptive Gauss-Kronrod quadrature (finite interval and half line) and
+seeded random streams.  Everything here is pure given its inputs; randomness
+lives only inside :class:`RngStream`, which wraps a counter-based generator
+keyed by ``(seed, stream_index)`` so equal keys replay the same sequence bit
+for bit and distinct indices give independent streams.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "integrate",
     "integrate_with_error",
     "integrate_halfline",
-    "minimize_scalar",
 ]
 
 
@@ -273,61 +271,3 @@ def integrate_halfline(
     if breakpoints:
         mapped = [p / (1.0 + p) for p in breakpoints if p > 0.0]
     return integrate(g, 0.0, 1.0, spec, mapped)
-
-
-# ---------------------------------------------------------------------------
-# scalar minimization
-# ---------------------------------------------------------------------------
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    grid_points: int = 1001,
-) -> tuple[float, float]:
-    """Global-ish scalar minimization on [lo, hi].
-
-    Unimodality is not assumed: a dense grid scan locates the best basin and
-    golden-section search refines the surrounding bracket.  Returns
-    ``(argmin, min)``.  Raises if f produces a non-finite value, naming the
-    offending abscissa.
-    """
-    if not (lo < hi):
-        raise NumericsError(f"need lo < hi, got {lo!r}, {hi!r}")
-    xs = np.linspace(lo, hi, grid_points)
-    ys = _eval_array(f, xs)
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise NumericsError(f"objective returned a non-finite value at x={bad!r}")
-    i = int(np.argmin(ys))
-    best_x, best_y = float(xs[i]), float(ys[i])
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid_points - 1)])
-
-    # golden-section refinement of the grid bracket
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(f(c))
-            x_new, y_new = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(f(d))
-            x_new, y_new = d, fd
-        if not math.isfinite(y_new):
-            raise NumericsError(f"objective returned a non-finite value at x={x_new!r}")
-        if y_new < best_y:
-            best_x, best_y = x_new, y_new
-    return best_x, best_y
-

@@ -2,10 +2,13 @@
 
 The benchmark reaches the program through module attributes and, when
 tracing, reads some arguments by name; a change of signature that breaks it
-fails here rather than only in a benchmark run.
+fails here rather than only in a benchmark run.  Likewise a certificate that
+the benchmark's own output checks would reject fails here.
 """
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 from driftbound import _marginal, cli, numerics, simulation
 
@@ -46,3 +49,25 @@ def test_sweep_n_reaches_the_certificate_through_cli(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "assemble_gibbs_bound", timed)
     assert cli.main(["sweep-n", "--n-list", "100", "--out", str(tmp_path)]) == 0
     assert seen == [100]
+
+
+def _perfbench_checks():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certify_sweep_passes_the_benchmark_checks(tmp_path):
+    # the certify workload runs this sweep on the default configuration and
+    # rejects the pass when perfbench/checks.py finds a problem in its rows
+    checks = _perfbench_checks()
+    n_list = [100, 6400]
+    assert cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(tmp_path)]) == 0
+    rows = checks.parse_sweep_csv((tmp_path / "sweep_n.csv").read_text(encoding="utf-8"))
+    cfg = cli.load_config(None, {})
+    center = float(cfg.data_source["synth"]["center"])
+    assert cfg.large_set_T is None  # so T takes its default, min(delta, center/2)
+    T = min(cfg.model.delta_margin, center / 2.0)
+    assert checks.check_sweep(rows, n_list, cfg.model.V, T, center) == []

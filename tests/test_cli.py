@@ -198,6 +198,14 @@ def test_sweep_rejects_file_data(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_malformed_n_list(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep-n", "--n-list", "100,x", "--out", str(out)])
+    assert rc == 1
+    assert "config error: --n-list entry 'x' is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_ok_rows(tmp_path):
     cfg = write_config(tmp_path, small_config())
     out = tmp_path / "sweep"

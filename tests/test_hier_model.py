@@ -33,6 +33,7 @@ from driftbound.hier_model import (
     synth_dataset,
     tail_probability_bound,
 )
+from driftbound.hier_model import _B_ROUNDING, _log_a_kernel, _log_a_peak
 from driftbound.numerics import RngStream
 
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -375,6 +376,101 @@ def test_drift_offset_flat_in_n():
     assert max(b100, b6400) / min(b100, b6400) < 2.0
 
 
+def _mp_gain(ds, cfg):
+    """The band gain E[f'] - lambda_factor(A)*f at theta_bar = y_bar, in mpmath."""
+    n, v, a, b0 = (mp.mpf(x) for x in (ds.n, cfg.V, cfg.prior_shape_a, cfg.prior_scale_b))
+    delta = mp.mpf(ds.delta)
+    c = delta / (n - 1) - v
+    a1 = a + (n - 1) / 2
+
+    def gain(A):
+        A = mp.mpf(A)
+        s2, rho = A * v / (v + A), A / (v + A)
+        s_mean = s2 + rho**2 * delta / (n - 1)
+        s_second = (2 * (n - 1) * s2**2 + 4 * rho**2 * s2 * delta) / (n - 1) ** 2 + s_mean**2
+        e_beta = b0 + (n - 1) * s_mean / 2
+        e_beta2 = b0**2 + b0 * (n - 1) * s_mean + (n - 1) ** 2 * s_second / 4
+        e_a1 = e_beta / (a1 - 1)
+        e_a1_sq = e_beta2 / ((a1 - 1) * (a1 - 2))
+        energy = s2 + (v / (v + A)) ** 2 * A + n * (c * c - 2 * c * e_a1 + e_a1_sq)
+        lam = (v * (v + 2 * A) / (v + A) ** 2) ** 2
+        return energy - lam * n * (c - A) ** 2
+
+    return gain
+
+
+def _mp_band_sup(gain, lo, hi):
+    """Dense scan of the band, then golden-section refinement of the best cell."""
+    xs = [lo + (hi - lo) * mp.mpf(i) / 400 for i in range(401)]
+    vals = [gain(x) for x in xs]
+    i = max(range(401), key=vals.__getitem__)
+    left, right = xs[max(i - 1, 0)], xs[min(i + 1, 400)]
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    for _ in range(120):
+        c, d = right - inv_phi * (right - left), left + inv_phi * (right - left)
+        if gain(c) > gain(d):
+            right = d
+        else:
+            left = c
+    return max(vals[i], gain((left + right) / 2))
+
+
+BAND_CASES = [(cfg, n) for cfg in ("tight", "classic") for n in (20, 100, 6400)]
+
+
+def _band_case(cfg_name, n):
+    ds = tight_data(n) if cfg_name == "tight" else classic_data(n)
+    cfg = TIGHT if cfg_name == "tight" else CLASSIC
+    return ds, cfg, default_large_set(ds, cfg)
+
+
+@pytest.mark.parametrize("cfg_name,n", BAND_CASES)
+def test_drift_offset_against_high_precision_supremum(cfg_name, n):
+    ds, cfg, spec = _band_case(cfg_name, n)
+    b = drift_offset_b(ds, cfg, spec)
+    mp.mp.dps = 30
+    sup = _mp_band_sup(_mp_gain(ds, cfg), mp.mpf(spec.a_low), mp.mpf(spec.a_high))
+    assert sup <= b <= sup * (1 + mp.mpf(_B_ROUNDING))
+
+
+@pytest.mark.parametrize("cfg_name,n", BAND_CASES)
+def test_drift_gain_times_fourth_power_is_a_quartic(cfg_name, n):
+    # the candidate set of drift_offset_b is complete only if g(A)*(V+A)^4 is
+    # a polynomial of degree <= 4: its interpolant at five Chebyshev nodes
+    # must reproduce it everywhere else on the band
+    ds, cfg, spec = _band_case(cfg_name, n)
+
+    def scaled_gain(A):
+        f_val = drift_value_summary(ds.y_bar, A, ds, cfg)
+        gain = expected_drift(ds.y_bar, A, ds, cfg) - lambda_factor(A, cfg.V) * f_val
+        return gain * (cfg.V + A) ** 4
+
+    quartic = np.polynomial.Chebyshev.interpolate(scaled_gain, 4,
+                                                  domain=[spec.a_low, spec.a_high])
+    a_grid = np.linspace(spec.a_low, spec.a_high, 202)[1:-1]
+    direct = scaled_gain(a_grid)
+    assert np.max(np.abs(quartic(a_grid) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_theta_bar_reduction_identity():
+    # the theta_bar^2 coefficient of the gain, n*[(V/(V+A))^2 - lambda_factor],
+    # is <= 0 for every A >= 0, with equality at A = 0
+    for v in (8e-4, 1.0, 50.0):
+        a_grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 400)])
+        w_sq = (v / (v + a_grid)) ** 2
+        lam = lambda_factor(a_grid, v)
+        assert w_sq[0] == lam[0] == 1.0
+        assert np.all(w_sq <= lam * (1.0 + 1e-15))
+    # and the gain at an off-center theta_bar falls below its value at y_bar
+    ds, cfg, spec = _band_case("classic", 100)
+    a_grid = np.linspace(spec.a_low, spec.a_high, 50)
+    for off in (0.25, 1.0, 10.0):
+        gains = [expected_drift(tb, a_grid, ds, cfg)
+                 - lambda_factor(a_grid, cfg.V) * drift_value_summary(tb, a_grid, ds, cfg)
+                 for tb in (ds.y_bar, ds.y_bar + off)]
+        assert np.all(gains[1] <= gains[0])
+
+
 # ---------------------------------------------------------------------------
 # tail budget and posterior functional
 # ---------------------------------------------------------------------------
@@ -409,6 +505,24 @@ def test_expected_inv_a_against_high_precision_reference():
     num = mp.quad(lambda x: kernel(x, a + 2), pts)
     den = mp.quad(lambda x: kernel(x, a + 1), pts)
     assert got == pytest.approx(float(num / den), rel=1e-6)
+
+
+@pytest.mark.parametrize("cfg_name,n", BAND_CASES)
+def test_log_a_peak_is_the_exact_critical_point(cfg_name, n):
+    ds, cfg, _ = _band_case(cfg_name, n)
+    mode, peak, curv = _log_a_peak(ds, cfg)
+    mp.mp.dps = 30
+    p, b0, v = (mp.mpf(x) for x in (cfg.prior_shape_a + 1.0, cfg.prior_scale_b, cfg.V))
+    m, delta = mp.mpf(ds.n - 1) / 2, mp.mpf(ds.delta)
+
+    def kernel(A):
+        return -p * mp.log(A) - b0 / A - m * mp.log(v + A) - delta / (2 * (v + A))
+
+    root = mp.findroot(lambda A: mp.diff(kernel, A), mp.mpf(mode))
+    assert abs(mode - root) <= 1e-10 * root
+    assert peak == pytest.approx(float(_log_a_kernel(mode, cfg.prior_shape_a + 1.0, ds, cfg)))
+    assert curv < 0.0
+    assert curv == pytest.approx(float(mp.diff(kernel, mp.mpf(mode), 2)), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

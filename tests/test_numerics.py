@@ -12,7 +12,6 @@ from driftbound.numerics import (
     integrate,
     integrate_halfline,
     integrate_with_error,
-    minimize_scalar,
 )
 
 
@@ -126,53 +125,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(relative_tolerance=-1.0)
     with pytest.raises(NumericsError):
         QuadratureSpec(max_subdivisions=0)
-
-
-# ---------------------------------------------------------------------------
-# scalar minimization
-# ---------------------------------------------------------------------------
-
-
-def test_minimize_quadratic():
-    x, fx = minimize_scalar(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
-    assert x == pytest.approx(2.0, abs=1e-8)
-    assert fx == pytest.approx(0.0, abs=1e-14)
-
-
-def test_minimize_cosine():
-    x, fx = minimize_scalar(lambda x: np.cos(x), 0.0, 2.0 * math.pi)
-    assert x == pytest.approx(math.pi, abs=1e-6)
-    assert fx == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_minimize_matches_brute_force_density_family():
-    # infimum over the variance parameter of a normal density at a fixed
-    # point; the oracle is a dense grid scan (frozen conclusion: for
-    # variance A/100 on [0.9, 1.1] at point 0.05 the infimum sits at the
-    # A = 1.1 end, where the density is flattest)
-    point = 0.05
-
-    def density(a):
-        v = np.asarray(a, dtype=float) / 100.0
-        return np.exp(-point**2 / (2.0 * v)) / np.sqrt(2.0 * math.pi * v)
-
-    grid = np.linspace(0.9, 1.1, 100_001)
-    vals = density(grid)
-    brute_x = grid[int(np.argmin(vals))]
-    brute_val = float(vals.min())
-    assert brute_x == pytest.approx(1.1, abs=1e-9)
-
-    x, fx = minimize_scalar(density, 0.9, 1.1)
-    assert x == pytest.approx(brute_x, abs=1e-4)
-    assert fx == pytest.approx(brute_val, rel=1e-9)
-
-
-def test_minimize_reports_nonfinite_abscissa():
-    def f(x):
-        return float("nan") if x > 1.0 else x
-
-    with pytest.raises(NumericsError, match="x="):
-        minimize_scalar(f, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
