@@ -97,6 +97,9 @@ class MarginalKernel:
 # draws per block of the long-chain loop; a block boundary fixes where the
 # normals of one block end and its chi-squares begin, so it never moves
 _BLOCK = 1_000_000
+# steps per slice of a block turned into Python floats at a time; a slice
+# only bounds memory, so it moves no draw
+_SLICE = 65_536
 
 
 def run_summary_chain(
@@ -112,8 +115,9 @@ def run_summary_chain(
     With ``band``, the per-sub-step rejection construction: an A' proposal
     landing outside the band is discarded and A kept (the mu and theta
     stages cannot leave a band that constrains A alone).  The inner loop
-    runs the kernel's sweep on Python floats from pre-drawn blocks; the
-    draw sequence matches draw_block exactly.
+    runs the kernel's sweep on Python floats from pre-drawn blocks, one
+    ``_SLICE`` of a block at a time; the draw sequence matches draw_block
+    exactly.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -125,12 +129,15 @@ def run_summary_chain(
     for done in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - done)
         z, w, gam = kernel.draw_block(stream, m)
-        draws = zip(z[:, 0].tolist(), z[:, 1].tolist(), z[:, 2].tolist(),
-                    w.tolist(), gam.tolist())
-        for t, (z0, z1, z2, wi, gi) in enumerate(draws, done):
-            _, tb, a_new = sweep(tb, a, z0, z1, z2, wi, gi)
-            if lo <= a_new <= hi:
-                a = a_new
-            out_tb[t] = tb
-            out_a[t] = a
+        for s in range(0, m, _SLICE):
+            # no name holds a slice's lists, so they are freed before the next
+            cut = slice(s, s + _SLICE)
+            for t, (z0, z1, z2, wi, gi) in enumerate(
+                    zip(z[cut, 0].tolist(), z[cut, 1].tolist(), z[cut, 2].tolist(),
+                        w[cut].tolist(), gam[cut].tolist()), done + s):
+                _, tb, a_new = sweep(tb, a, z0, z1, z2, wi, gi)
+                if lo <= a_new <= hi:
+                    a = a_new
+                out_tb[t] = tb
+                out_a[t] = a
     return out_tb, out_a

@@ -107,6 +107,9 @@ def _dataset(cfg: ModelConfig, n: int, center: float, seed: int = 7):
     return synth_dataset(n, center, cfg, RngStream(seed, 0), exact_center=True)
 
 
+_LATENT_ROWS = 2048  # latent vectors held at once by _one_step_energy_mc
+
+
 def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
     """Brute-force one-sweep energy average drawing the full latent vector.
 
@@ -126,9 +129,16 @@ def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
     while done < n_draws:
         m = min(chunk, n_draws - done)
         mu1 = g.normal(theta_bar, math.sqrt(a_val / n), m)
-        theta = mu1[:, None] * w + ds.y[None, :] * (1.0 - w) + sd * g.standard_normal((m, n))
-        tb1 = theta.mean(axis=1)
-        s1 = theta.var(axis=1, ddof=1)
+        # the latent vectors in row slices, drawn in the order of one
+        # (m, n) block, so only a slice is ever held
+        tb1 = np.empty(m)
+        s1 = np.empty(m)
+        for r in range(0, m, _LATENT_ROWS):
+            rows = slice(r, min(r + _LATENT_ROWS, m))
+            theta = (mu1[rows, None] * w + ds.y[None, :] * (1.0 - w)
+                     + sd * g.standard_normal((rows.stop - r, n)))
+            tb1[rows] = theta.mean(axis=1)
+            s1[rows] = theta.var(axis=1, ddof=1)
         beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
         a_new = beta / g.standard_gamma(a1, m)
         f = n * ((tb1 - ds.y_bar) ** 2 + (c - a_new) ** 2)

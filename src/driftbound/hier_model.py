@@ -462,9 +462,9 @@ def conditional_S_moments(A, ds: Dataset, cfg: ModelConfig):
 def expected_drift(theta_bar, A, ds: Dataset, cfg: ModelConfig):
     """Exact one-sweep conditional expectation of the energy from (theta_bar, A).
 
-    Composed in reverse sweep order from closed forms: inverse-gamma first and
-    second moments of the A-update (linear/quadratic in S), the exact S
-    moments, the normal moments of the updated theta mean, and the mu-update
+    Composed in reverse sweep order from closed forms: the inverse-gamma mean
+    and variance of the A-update (through the mean and variance of S), the
+    exact S moments, the normal moments of the updated theta mean, and the mu-update
     law N(theta_bar, A/n).  The kernel sees the state only through
     (theta_bar, A), so this is a function of those two coordinates alone.
     Array-friendly; broadcasts theta_bar against A.
@@ -479,26 +479,24 @@ def expected_drift(theta_bar, A, ds: Dataset, cfg: ModelConfig):
         raise ModelError("posterior shape a + (n-1)/2 must exceed 2 for second moments")
     c = data_center(ds, cfg)
 
-    s_mean, _, s_second = conditional_S_moments(A, ds, cfg)
-    s_mean = np.asarray(s_mean, dtype=float)
-    s_second = np.asarray(s_second, dtype=float)
+    s_mean, s_var, _ = conditional_S_moments(A, ds, cfg)
 
-    # A' | S is inverse-gamma with shape a1 and scale beta = b + (n-1)S/2.
+    # A' | S is inverse-gamma with shape a1 and scale beta = b + (n-1)S/2, so
+    # Var[A'] = Var[beta]/((a1-1)(a1-2)) + E[beta]^2/((a1-1)^2 (a1-2)).  The
+    # variance part is n*E[(A'-c)^2] = n*(Var[A'] + (E[A']-c)^2), a sum of two
+    # nonnegative terms: expanding the square instead would cancel terms of
+    # size n*c^2 down to one of size c^2.
     e_beta = cfg.prior_scale_b + 0.5 * (n - 1) * s_mean
-    e_beta2 = (
-        cfg.prior_scale_b**2
-        + cfg.prior_scale_b * (n - 1) * s_mean
-        + 0.25 * (n - 1) ** 2 * s_second
-    )
+    var_beta = 0.25 * (n - 1) ** 2 * s_var
+    var_a1 = (var_beta + e_beta**2 / (a1 - 1.0)) / ((a1 - 1.0) * (a1 - 2.0))
     e_a1 = e_beta / (a1 - 1.0)
-    e_a1_sq = e_beta2 / ((a1 - 1.0) * (a1 - 2.0))
 
     s2 = A * V / (V + A)
     w = V / (V + A)
     e_mu_sq = (theta_bar - ds.y_bar) ** 2 + A / n
     part_mean = s2 + n * w**2 * e_mu_sq
-    part_var = n * (c * c - 2.0 * c * e_a1 + e_a1_sq)
-    out = part_mean + np.maximum(part_var, 0.0)
+    part_var = n * (var_a1 + (e_a1 - c) ** 2)
+    out = part_mean + part_var
     return float(out) if out.ndim == 0 else out
 
 

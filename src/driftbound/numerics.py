@@ -76,6 +76,12 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _U64 = 2**64
 
 
+def _check_key(seed: int, stream_index: int) -> tuple[int, int]:
+    if not (0 <= int(seed) < _U64) or not (0 <= int(stream_index) < _U64):
+        raise NumericsError("seed and stream_index must be unsigned 64-bit integers")
+    return int(seed), int(stream_index)
+
+
 class RngStream:
     """Reproducible random stream keyed by ``(seed, stream_index)``.
 
@@ -88,16 +94,33 @@ class RngStream:
     __slots__ = ("seed", "stream_index", "_generator")
 
     def __init__(self, seed: int, stream_index: int = 0):
-        if not (0 <= int(seed) < _U64) or not (0 <= int(stream_index) < _U64):
-            raise NumericsError("seed and stream_index must be unsigned 64-bit integers")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
+        self.seed, self.stream_index = _check_key(seed, stream_index)
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         self._generator = np.random.Generator(np.random.Philox(key=key))
 
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
+
+    @classmethod
+    def each(cls, seed: int, indices):
+        """Yield the stream ``(seed, i)`` for each ``i`` in ``indices``, in turn.
+
+        One Philox is re-keyed per index: key ``(seed, i)``, counter zero and
+        empty output buffers, the state a fresh ``RngStream(seed, i)`` starts
+        in, so every stream draws the same values bit for bit without the cost
+        of building a generator.  The same object is yielded each time, so a
+        consumer must be done with one stream before it asks for the next.
+        """
+        stream = cls(seed)
+        bit_generator = stream._generator.bit_generator
+        fresh = bit_generator.state
+        key = fresh["state"]["key"]
+        for i in indices:
+            _, stream.stream_index = _check_key(seed, i)
+            key[1] = stream.stream_index
+            bit_generator.state = fresh
+            yield stream
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"

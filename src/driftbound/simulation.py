@@ -71,8 +71,8 @@ def _draw_streams(kernel: MarginalKernel, seed: int, indices: np.ndarray, n_step
     ``indices``; returns (Z0, Z1, Z2, W, G) stacked along a leading axis of
     length 5, each shaped ``indices.shape + (n_steps,)``."""
     out = np.empty((5, indices.size, n_steps))
-    for j, i in enumerate(indices.ravel().tolist()):
-        z, w, gam = kernel.draw_block(RngStream(seed, i), n_steps)
+    for j, stream in enumerate(RngStream.each(seed, indices.ravel().tolist())):
+        z, w, gam = kernel.draw_block(stream, n_steps)
         out[:3, j] = z.T
         out[3, j] = w
         out[4, j] = gam

@@ -376,14 +376,15 @@ def test_drift_offset_flat_in_n():
     assert max(b100, b6400) / min(b100, b6400) < 2.0
 
 
-def _mp_gain(ds, cfg):
-    """The band gain E[f'] - lambda_factor(A)*f at theta_bar = y_bar, in mpmath."""
+def _mp_energy(ds, cfg):
+    """The one-sweep expected energy E[f'] at theta_bar = y_bar, in mpmath,
+    with the second moment of A' expanded as the formulas read."""
     n, v, a, b0 = (mp.mpf(x) for x in (ds.n, cfg.V, cfg.prior_shape_a, cfg.prior_scale_b))
     delta = mp.mpf(ds.delta)
     c = delta / (n - 1) - v
     a1 = a + (n - 1) / 2
 
-    def gain(A):
+    def energy(A):
         A = mp.mpf(A)
         s2, rho = A * v / (v + A), A / (v + A)
         s_mean = s2 + rho**2 * delta / (n - 1)
@@ -392,9 +393,21 @@ def _mp_gain(ds, cfg):
         e_beta2 = b0**2 + b0 * (n - 1) * s_mean + (n - 1) ** 2 * s_second / 4
         e_a1 = e_beta / (a1 - 1)
         e_a1_sq = e_beta2 / ((a1 - 1) * (a1 - 2))
-        energy = s2 + (v / (v + A)) ** 2 * A + n * (c * c - 2 * c * e_a1 + e_a1_sq)
+        return s2 + (v / (v + A)) ** 2 * A + n * (c * c - 2 * c * e_a1 + e_a1_sq)
+
+    return energy
+
+
+def _mp_gain(ds, cfg):
+    """The band gain E[f'] - lambda_factor(A)*f at theta_bar = y_bar, in mpmath."""
+    v = mp.mpf(cfg.V)
+    c = mp.mpf(ds.delta) / (ds.n - 1) - v
+    energy = _mp_energy(ds, cfg)
+
+    def gain(A):
+        A = mp.mpf(A)
         lam = (v * (v + 2 * A) / (v + A) ** 2) ** 2
-        return energy - lam * n * (c - A) ** 2
+        return energy(A) - lam * ds.n * (c - A) ** 2
 
     return gain
 
@@ -422,6 +435,21 @@ def _band_case(cfg_name, n):
     ds = tight_data(n) if cfg_name == "tight" else classic_data(n)
     cfg = TIGHT if cfg_name == "tight" else CLASSIC
     return ds, cfg, default_large_set(ds, cfg)
+
+
+@pytest.mark.parametrize("cfg_name", ["tight", "classic"])
+@pytest.mark.parametrize("n", [100, 6400])
+def test_expected_drift_full_precision_on_the_band(cfg_name, n):
+    # the variance part n*E[(A'-c)^2] is a sum of nonnegative terms; the
+    # expanded n*(c^2 - 2c E[A'] + E[A'^2]) cancels to 1.7e-12 relative at n=6400
+    ds, cfg, spec = _band_case(cfg_name, n)
+    a_grid = np.linspace(spec.a_low, spec.a_high, 41)
+    got = expected_drift(ds.y_bar, a_grid, ds, cfg)
+    mp.mp.dps = 40
+    energy = _mp_energy(ds, cfg)
+    for A, value in zip(a_grid, got):
+        exact = energy(A)
+        assert abs((mp.mpf(value) - exact) / exact) <= 5e-14
 
 
 @pytest.mark.parametrize("cfg_name,n", BAND_CASES)

@@ -145,6 +145,27 @@ def test_stream_key_validation():
         RngStream(-1, 0)
     with pytest.raises(NumericsError):
         RngStream(0, 2**64)
+    with pytest.raises(NumericsError):
+        list(RngStream.each(0, [1, 2**64]))
+
+
+def _uint32s(g):
+    return g.integers(0, 2**32, 3, dtype=np.uint32)
+
+
+def test_rekeyed_streams_equal_fresh_streams():
+    # each stream starts where the last one left the shared generator: an
+    # odd number of uint32s leaves half a 64-bit word buffered, which a
+    # re-keyed stream must not hand out as its own first uint32
+    indices = [0, 5, 2**64 - 1, 5, 123_456_789]
+    for i, stream in zip(indices, RngStream.each(11, indices)):
+        assert (stream.seed, stream.stream_index) == (11, i)
+        g, fresh = stream.generator, RngStream(11, i).generator
+        assert np.array_equal(_uint32s(g), _uint32s(fresh))
+        assert np.array_equal(g.standard_normal(7), fresh.standard_normal(7))
+        assert np.array_equal(g.standard_gamma(2.5, 5), fresh.standard_gamma(2.5, 5))
+        assert np.array_equal(g.chisquare(98, 3), fresh.chisquare(98, 3))
+        assert np.array_equal(_uint32s(g), _uint32s(fresh))
 
 
 # The moment checks below draw in the idioms the samplers use on keyed

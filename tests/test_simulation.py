@@ -1,10 +1,12 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from driftbound._marginal import MarginalKernel, run_summary_chain
+from driftbound._marginal import _BLOCK, _SLICE, MarginalKernel, run_summary_chain
 from driftbound.hier_model import (
     LargeSetSpec,
     ModelConfig,
@@ -34,6 +36,7 @@ from driftbound.simulation import (
     run_trace_chain,
     tv_lower_bound_estimate,
 )
+from driftbound.simulation import _draw_streams
 
 TIGHT = ModelConfig(V=8e-4, prior_shape_a=3.0, prior_scale_b=0.2, delta_margin=0.08)
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -167,6 +170,64 @@ def test_step_arrays_band_equals_restricted_summary_chain(tight100):
     assert np.array_equal(np.array(path_a), ref_a)
     # the band bites: some proposals were rejected, so A repeats
     assert np.count_nonzero(np.diff(ref_a) == 0.0) > 0
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_sliced_summary_chain_equals_array_sweep(tight100, banded):
+    # the long-chain loop turns a draw block into floats one slice at a time;
+    # across a slice boundary it still follows the array sweep bit for bit
+    ds, _, x0 = tight100
+    c = data_center(ds, TIGHT)
+    band = LargeSetSpec(T=0.97 * c, center=c) if banded else None
+    kernel = MarginalKernel(ds, TIGHT)
+    n_steps = _SLICE + 17
+    z, w, gam = kernel.draw_block(RngStream(83, 4), n_steps)
+    tb, aa = np.array([x0.theta_bar]), np.array([x0.A])
+    path = np.empty((2, n_steps))
+    for t in range(n_steps):
+        _, tb, aa = kernel.step_arrays(tb, aa, z[t, 0], z[t, 1], z[t, 2], w[t], gam[t],
+                                       band=band)
+        path[:, t] = tb[0], aa[0]
+    ref_tb, ref_a = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
+                                      RngStream(83, 4), band=band)
+    assert np.array_equal(path[0], ref_tb)
+    assert np.array_equal(path[1], ref_a)
+
+
+def test_summary_chain_across_a_block_boundary_is_frozen(tight100):
+    # a frozen path one draw block and 17 steps long: neither the block
+    # boundary nor the slices of a block may move a draw
+    ds, _, x0 = tight100
+    tb, aa = run_summary_chain(MarginalKernel(ds, TIGHT), (x0.theta_bar, x0.A),
+                               _BLOCK + 17, RngStream(97, 3))
+    assert hashlib.sha256(tb.tobytes() + aa.tobytes()).hexdigest() == (
+        "8e62bf0cf25196262fc7ad2ac7e017984f52e351999d04ab9c70ac15d9454c63")
+
+
+def test_summary_chain_memory_is_bounded_per_step(tight100):
+    # the recorded path is 16 bytes a step and the draw block 40; Python
+    # floats for a whole block would add 160 more
+    ds, _, x0 = tight100
+    kernel = MarginalKernel(ds, TIGHT)
+    n_steps = 200_000
+    tracemalloc.start()
+    try:
+        run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps, RngStream(5, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * n_steps
+
+
+def test_draw_streams_equal_fresh_stream_blocks(tight100):
+    ds, _, _ = tight100
+    kernel = MarginalKernel(ds, TIGHT)
+    indices = np.array([[3, 9, 4], [ENSEMBLE_STREAM_BASE, 7, 3]])
+    draws = _draw_streams(kernel, 13, indices, 25)
+    assert draws.shape == (5, 2, 3, 25)
+    for pos, i in np.ndenumerate(indices):
+        z, w, gam = kernel.draw_block(RngStream(13, int(i)), 25)
+        assert np.array_equal(draws[(slice(None),) + pos], np.vstack([z.T, w, gam]))
 
 
 @pytest.mark.parametrize("restricted", [False, True])
