@@ -40,6 +40,7 @@ from .hier_model import (
     assemble_gibbs_bound,
     data_center,
     default_large_set,
+    default_small_set_level,
     drift_offset_b,
     drift_value_summary,
     expected_drift,
@@ -407,7 +408,7 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     spec2 = default_large_set(ds2, cfg2)
     b2 = drift_offset_b(ds2, cfg2, spec2)
     lam2 = lambda_T(spec2, cfg2.V)
-    d2 = 2.5 * b2 / (1.0 - lam2)
+    d2 = default_small_set_level(b2, lam2)
     alpha2, _ = derive_alpha_lambda(DriftParameters(lam=lam2, b_drift=b2, d_small=d2))
     n_pairs = _count(4_000, scale, floor=500)
     stats = hitting_time_stats(n_pairs, 60, ds2, cfg2, spec2, d2, alpha2,
@@ -481,7 +482,7 @@ def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
         ds = _dataset(cfg, n, center)
         spec = default_large_set(ds, cfg)
         b = drift_offset_b(ds, cfg, spec)
-        d = 2.5 * b / (1.0 - lambda_T(spec, cfg.V))
+        d = default_small_set_level(b, lambda_T(spec, cfg.V))
         box = SmallSetBox.from_level(d, ds, cfg)
         try:
             rep = build_epsilon_report(box, ds, cfg,

@@ -52,6 +52,7 @@ __all__ = [
     "lambda_factor",
     "lambda_T",
     "default_large_set",
+    "default_small_set_level",
     "in_large_set",
     "gibbs_step",
     "conditional_S_moments",
@@ -67,11 +68,11 @@ __all__ = [
 _REL_TOL = 1e-12
 # Relative rounding budget of the drift offset: the certified b lies in
 # [sup, sup*(1 + _B_ROUNDING)] for the true supremum sup.  The gain's variance
-# part n*(c^2 - 2c E[A'] + E[A'^2]) cancels terms of size n*c^2 down to size
-# c^2, so the computed maximum's rounding error grows like n times the unit
-# roundoff: against a 30-digit reference it measures 4e-13 relative at
-# n = 6400 and at most 3e-15 for n <= 100.  Raising the computed maximum by
-# half the budget covers an error of up to 5e-10 on either side.
+# part is formed as n*(Var[A'] + (E[A'] - c)^2), a sum of nonnegative terms
+# with no cancellation: on 41 band points expected_drift matches a 40-digit
+# reference to 9.9e-15 relative at n = 6400 and 6.6e-16 at n = 100.  Raising
+# the computed maximum by half the budget covers an error of up to 5e-10 on
+# either side, five orders of magnitude above that.
 _B_ROUNDING = 1e-9
 
 
@@ -379,6 +380,11 @@ def default_large_set(ds: Dataset, cfg: ModelConfig) -> LargeSetSpec:
     return LargeSetSpec(T=min(cfg.delta_margin, 0.5 * c), center=c)
 
 
+def default_small_set_level(b: float, lam_t: float) -> float:
+    """Small-set level 2.5*b/(1-lambda_T), a quarter above the required floor."""
+    return 2.5 * b / (1.0 - lam_t)
+
+
 def in_large_set(x: ChainState, spec: LargeSetSpec) -> bool:
     """Whether the state's A lies in the band (:meth:`LargeSetSpec.contains`)."""
     return bool(spec.contains(x.A))
@@ -653,42 +659,36 @@ def assemble_gibbs_bound(
     over the small-set box, and the mass of the constructed uniform
     component on the retained band is evaluated directly by quadrature (the
     one-step exit device is also computed and the better of the two lower
-    bounds is kept).  The default small-set level is d = 2.5*b/(1-lambda_T).
+    bounds is kept).  ``large_set`` must be centered at the data center, as
+    the small set is; d defaults to :func:`default_small_set_level`.
     """
     from . import minorization  # local import; minorization depends on this module
 
     if not check_data_assumption(ds, cfg):
         raise ModelError("data fail the dispersion margin; no certificate is available")
     spec = large_set if large_set is not None else default_large_set(ds, cfg)
+    c = data_center(ds, cfg)
+    if abs(spec.center - c) > _REL_TOL * c:
+        raise ModelError(f"large set centered at {spec.center!r}, not at the data center "
+                         f"{c!r} where the small set {{f <= d}} sits")
     lam_t = lambda_T(spec, cfg.V)
     b = drift_offset_b(ds, cfg, spec)
     if d is None:
-        d = 2.5 * b / (1.0 - lam_t)
-    if not (d > 2.0 * b / (1.0 - lam_t)):
-        raise ModelError(
-            f"small-set level d={d!r} must exceed 2*b/(1-lambda_T)="
-            f"{2.0 * b / (1.0 - lam_t)!r}"
-        )
-    c = spec.center
-    halfwidth = math.sqrt(d / ds.n)
-    if halfwidth > c - spec.T:
-        raise ModelError(
-            f"small-set box (halfwidth {halfwidth!r}) spills outside the retained band "
-            f"(gap {c - spec.T!r}); increase n or lower d"
-        )
+        d = default_small_set_level(b, lam_t)
+    floor = 2.0 * b / (1.0 - lam_t)
+    if not (d > floor):
+        raise ModelError(f"small-set level d={d!r} must exceed 2*b/(1-lambda_T)={floor!r}")
+    gap = c - spec.T
+    if d > ds.n * gap**2:
+        raise ModelError(f"small-set box spills outside the retained band: d={d!r} exceeds "
+                         f"n*(center - T)^2={ds.n * gap**2!r}; increase n or lower d")
 
-    box = minorization.SmallSetBox(
-        theta_bar_halfwidth=halfwidth,
-        A_halfwidth=halfwidth,
-        A_center=c,
-        theta_bar_center=ds.y_bar,
-    )
-    eps = minorization.epsilon_lower_bound(box, ds, cfg)
+    box = minorization.SmallSetBox.from_level(d, ds, cfg)
+    eps, q_direct = minorization.uniform_component(box, ds, cfg, spec)
 
     # one-step exit probability bound from the small set (drift + Markov)
-    exit_up = (lam_t * d + b) / (ds.n * (c - spec.T) ** 2)
+    exit_up = (lam_t * d + b) / (ds.n * gap**2)
     q_remark = minorization.q_mass_lower_bound(eps, exit_up)
-    q_direct = minorization.uniform_component_band_mass(box, ds, cfg, spec)
     q = max(q_remark, q_direct)
     if q <= 0.0:
         raise ModelError("no positive lower bound on the uniform-component band mass")
@@ -697,7 +697,6 @@ def assemble_gibbs_bound(
     m = MinorizationCertificate(epsilon=eps, q_mass_lower=q)
     dc = derived_constants(p, m)
 
-    gap = c - spec.T
     c1 = 2.0 + b / (1.0 - lam_t)
     c2 = b / (2.0 * gap**2)
     c3 = math.sqrt(b) * (2.0 * cfg.V / cfg.delta_margin + 1.0) / gap

@@ -58,10 +58,10 @@ tight config); truncating the mu and S ranges only lowers the bound.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
-term dropped; epsilon is therefore an approximate lower bound and every
-report is cross-checked against an importance-sampling overlap oracle that
-works on the exact kernel (build_epsilon_report fails loudly if the check
-trips).
+term dropped; epsilon is therefore an approximate lower bound.  Only
+build_epsilon_report (criterion 9 and the tests) cross-checks it against an
+importance-sampling overlap oracle on the exact kernel, failing loudly if
+the check trips; the certificate path (assemble_gibbs_bound) does not.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
-from .hier_model import Dataset, LargeSetSpec, ModelConfig
+from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
 from .numerics import QuadratureSpec, RngStream, integrate
 
 __all__ = [
@@ -80,7 +80,7 @@ __all__ = [
     "SmallSetBox",
     "EpsilonReport",
     "epsilon_lower_bound",
-    "uniform_component_band_mass",
+    "uniform_component",
     "overlap_oracle_mc",
     "q_mass_lower_bound",
     "build_epsilon_report",
@@ -93,45 +93,44 @@ class MinorizationError(Exception):
 
 @dataclass(frozen=True)
 class SmallSetBox:
-    """Coordinate box enclosing the sublevel set {f <= d}.
+    """Square coordinate box enclosing the sublevel set {f <= d}.
 
-    Both halfwidths equal sqrt(d/n) when built from a level d.  The A side
-    must stay positive for the conditional densities to exist.
+    Both sides have halfwidth sqrt(d/n) when built from a level d (see
+    :meth:`from_level`).  The A side must stay positive for the conditional
+    densities to exist.
     """
 
-    theta_bar_halfwidth: float
-    A_halfwidth: float
+    halfwidth: float
     A_center: float
     theta_bar_center: float
 
     def __post_init__(self):
-        if not (self.theta_bar_halfwidth > 0.0 and self.A_halfwidth > 0.0):
-            raise MinorizationError("box halfwidths must be positive")
-        if not (self.A_center - self.A_halfwidth > 0.0):
+        if not (self.halfwidth > 0.0):
+            raise MinorizationError("box halfwidth must be positive")
+        if not (self.A_center - self.halfwidth > 0.0):
             raise MinorizationError(
                 f"A box reaches a nonpositive value: center={self.A_center!r}, "
-                f"halfwidth={self.A_halfwidth!r}"
+                f"halfwidth={self.halfwidth!r}"
             )
 
     @staticmethod
     def from_level(d: float, ds: Dataset, cfg: ModelConfig) -> "SmallSetBox":
+        """The box around (y_bar, data center) enclosing {f <= d}."""
         if d <= 0.0:
             raise MinorizationError(f"small-set level must be positive, got {d!r}")
-        hw = math.sqrt(d / ds.n)
         return SmallSetBox(
-            theta_bar_halfwidth=hw,
-            A_halfwidth=hw,
-            A_center=ds.delta / (ds.n - 1) - cfg.V,
+            halfwidth=math.sqrt(d / ds.n),
+            A_center=data_center(ds, cfg),
             theta_bar_center=ds.y_bar,
         )
 
     @property
     def a_low(self) -> float:
-        return self.A_center - self.A_halfwidth
+        return self.A_center - self.halfwidth
 
     @property
     def a_high(self) -> float:
-        return self.A_center + self.A_halfwidth
+        return self.A_center + self.halfwidth
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def _theta_bar_overlap(mu, box, ds, cfg):
 
 def _mu_inf_density(box, n):
     """Per-mu infimum over box corners of N(theta_bar0, A0/n; mu)."""
-    tb_c, hw = box.theta_bar_center, box.theta_bar_halfwidth
+    tb_c, hw = box.theta_bar_center, box.halfwidth
 
     def dens(a0, mu):
         a0 = np.asarray(a0, dtype=float)
@@ -282,7 +281,7 @@ def _mu_factor(box, ds, cfg) -> float:
     """Integral over mu of F(mu) times the corner infimum of N(theta_bar0,
     A0/n; mu), truncated 12 standard deviations beyond the corner means."""
     n = ds.n
-    tb_c, hw = box.theta_bar_center, box.theta_bar_halfwidth
+    tb_c, hw = box.theta_bar_center, box.halfwidth
     a_lo, a_hi = box.a_low, box.a_high
     mu_dens = _mu_inf_density(box, n)
     sd_max = math.sqrt(a_hi / n)
@@ -299,6 +298,14 @@ def _mu_factor(box, ds, cfg) -> float:
                      breakpoints=[tb_c - hw + r, tb_c, tb_c + hw - r])
 
 
+def _volume(s_factor: float, box: SmallSetBox, ds: Dataset, cfg: ModelConfig) -> float:
+    """Product-form volume from an already integrated S factor."""
+    eps = s_factor * _mu_factor(box, ds, cfg)
+    if not (eps > 0.0):
+        raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
+    return min(eps, 1.0)
+
+
 def epsilon_lower_bound(box: SmallSetBox, ds: Dataset, cfg: ModelConfig) -> float:
     """Product-form minorization volume for the kernel over the box.
 
@@ -307,19 +314,17 @@ def epsilon_lower_bound(box: SmallSetBox, ds: Dataset, cfg: ModelConfig) -> floa
     infima are exact by the argument in the module docstring, which needs
     n >= 5 (smaller n raises MinorizationError).
     """
-    eps = _s_factor(box, ds, cfg) * _mu_factor(box, ds, cfg)
-    if not (eps > 0.0):
-        raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
-    return min(eps, 1.0)
+    return _volume(_s_factor(box, ds, cfg), box, ds, cfg)
 
 
-def uniform_component_band_mass(
+def uniform_component(
     box: SmallSetBox,
     ds: Dataset,
     cfg: ModelConfig,
     large_set: LargeSetSpec,
-) -> float:
-    """Mass the constructed uniform component puts on the retained A-band.
+) -> tuple[float, float]:
+    """Volume epsilon and band mass of the uniform component, sharing one
+    quadrature of the S factor; epsilon equals :func:`epsilon_lower_bound`.
 
     The component's A-coordinate is exactly inverse-gamma with shape
     a + (n-1)/2 and scale b + (n-1)S/2 under the component's S law, so the
@@ -331,6 +336,8 @@ def uniform_component_band_mass(
     a direct, typically far sharper, lower bound on the component's band
     mass than the one-step exit device.
     """
+    s_factor = _s_factor(box, ds, cfg)
+    eps = _volume(s_factor, box, ds, cfg)  # eps > 0, so s_factor > 0 too
     n = ds.n
     a1 = cfg.prior_shape_a + 0.5 * (n - 1)
     t_low, t_high = large_set.a_low, large_set.a_high
@@ -341,12 +348,9 @@ def uniform_component_band_mass(
         above = gammainc(a1, beta / t_high)   # A > 2c-T  <=>  gamma draw < beta/(2c-T)
         return below + above
 
-    denom = _s_factor(box, ds, cfg)
-    if denom <= 0.0:
-        raise MinorizationError("S factor integrated to zero; box is degenerate")
     num = _s_factor(box, ds, cfg, weight=tail)
-    frac_out = min(max(num / denom, 0.0), 1.0)
-    return 1.0 - frac_out
+    frac_out = min(max(num / s_factor, 0.0), 1.0)
+    return eps, 1.0 - frac_out
 
 
 def q_mass_lower_bound(epsilon: float, exit_prob_upper: float) -> float:
@@ -368,16 +372,14 @@ def q_mass_lower_bound(epsilon: float, exit_prob_upper: float) -> float:
 
 
 def _corner_states(box: SmallSetBox) -> list[tuple[float, float]]:
-    tb_c, hw_t = box.theta_bar_center, box.theta_bar_halfwidth
-    a_c, hw_a = box.A_center, box.A_halfwidth
-    corners = [
-        (tb_c - hw_t, a_c - hw_a),
-        (tb_c - hw_t, a_c + hw_a),
-        (tb_c + hw_t, a_c - hw_a),
-        (tb_c + hw_t, a_c + hw_a),
+    tb_c, a_c, hw = box.theta_bar_center, box.A_center, box.halfwidth
+    return [
+        (tb_c - hw, a_c - hw),
+        (tb_c - hw, a_c + hw),
+        (tb_c + hw, a_c - hw),
+        (tb_c + hw, a_c + hw),
         (tb_c, a_c),
     ]
-    return corners
 
 
 def _pair_overlap(

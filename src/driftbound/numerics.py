@@ -166,14 +166,11 @@ _GAUSS_W = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def _eval_array(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Call f on an array, falling back to a scalar loop for non-vectorized f."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(xi))) for xi in x], dtype=float)
+    """Call the vectorized integrand f on an array of abscissae."""
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise NumericsError(f"integrand must be vectorized: shape {y.shape} for {x.shape}")
+    return y
 
 
 def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:

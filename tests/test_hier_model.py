@@ -17,6 +17,7 @@ from driftbound.hier_model import (
     conditional_S_moments,
     data_center,
     default_large_set,
+    default_small_set_level,
     drift_offset_b,
     drift_value,
     drift_value_summary,
@@ -570,6 +571,7 @@ def test_assembled_constants_satisfy_invariants(tight_report):
     assert 0.0 < bc.lambda_T < 1.0
     assert bc.b_drift > 0.0
     assert bc.d_small > 2.0 * bc.b_drift / (1.0 - bc.lambda_T)
+    assert bc.d_small == default_small_set_level(bc.b_drift, bc.lambda_T)
     assert 0.0 < bc.epsilon <= 1.0
     assert 0.0 <= bc.q_mass_lower <= 1.0
     assert bc.alpha > 1.0 and bc.Lambda >= 1.0
@@ -609,6 +611,31 @@ def test_assemble_rejects_box_spill():
     ds = tight_data()
     with pytest.raises(ModelError, match="spills"):
         assemble_gibbs_bound(ds, TIGHT, d=2.0, k_max=5)
+
+
+def test_assemble_rejects_off_center_large_set():
+    # the small set {f <= d} sits at the data center 0.1; a band centered
+    # elsewhere used to certify a box around the wrong point
+    ds = tight_data()
+    with pytest.raises(ModelError, match="data center"):
+        assemble_gibbs_bound(ds, TIGHT, large_set=LargeSetSpec(T=0.05, center=0.2), k_max=5)
+
+
+def test_assemble_integrates_the_s_factor_once(monkeypatch):
+    # the S factor, its tail-weighted twin and the mu factor: three
+    # quadratures per certificate, the S factor shared by epsilon and q
+    from driftbound import minorization
+
+    calls = []
+    original = minorization.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minorization, "integrate", counted)
+    assemble_gibbs_bound(tight_data(), TIGHT, k_max=5)
+    assert len(calls) == 3, calls
 
 
 def test_assemble_rejects_bad_data():

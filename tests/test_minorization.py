@@ -9,6 +9,7 @@ from driftbound.hier_model import (
     ModelConfig,
     data_center,
     default_large_set,
+    default_small_set_level,
     drift_offset_b,
     lambda_T,
     synth_dataset,
@@ -28,7 +29,7 @@ from driftbound.minorization import (
     epsilon_lower_bound,
     overlap_oracle_mc,
     q_mass_lower_bound,
-    uniform_component_band_mass,
+    uniform_component,
 )
 from driftbound.numerics import RngStream
 
@@ -41,25 +42,26 @@ def tight100():
     ds = synth_dataset(100, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
     spec = default_large_set(ds, TIGHT)
     b = drift_offset_b(ds, TIGHT, spec)
-    d = 2.5 * b / (1.0 - lambda_T(spec, TIGHT.V))
+    d = default_small_set_level(b, lambda_T(spec, TIGHT.V))
     return ds, spec, d
 
 
 def test_box_validation():
     with pytest.raises(MinorizationError):
-        SmallSetBox(theta_bar_halfwidth=0.1, A_halfwidth=0.3, A_center=0.2,
-                    theta_bar_center=0.0)
+        SmallSetBox(halfwidth=0.3, A_center=0.2, theta_bar_center=0.0)
     with pytest.raises(MinorizationError):
-        SmallSetBox(theta_bar_halfwidth=0.0, A_halfwidth=0.1, A_center=0.5,
-                    theta_bar_center=0.0)
+        SmallSetBox(halfwidth=0.0, A_center=0.5, theta_bar_center=0.0)
+    with pytest.raises(MinorizationError):
+        SmallSetBox.from_level(0.0, synth_dataset(10, 0.1, TIGHT, RngStream(7, 0)), TIGHT)
+    box = SmallSetBox(halfwidth=0.1, A_center=0.2, theta_bar_center=0.0)
+    assert (box.a_low, box.a_high) == pytest.approx((0.1, 0.3))
 
 
 def test_box_from_level(tight100):
     ds, _, d = tight100
     box = SmallSetBox.from_level(d, ds, TIGHT)
-    assert box.theta_bar_halfwidth == pytest.approx(math.sqrt(d / ds.n))
-    assert box.A_halfwidth == box.theta_bar_halfwidth
-    assert box.A_center == pytest.approx(data_center(ds, TIGHT))
+    assert box.halfwidth == math.sqrt(d / ds.n)
+    assert box.A_center == data_center(ds, TIGHT)
     assert box.theta_bar_center == ds.y_bar
 
 
@@ -128,7 +130,7 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
 
         # mu stage, over the mu integration range
         sd = math.sqrt(box.a_high / n)
-        hw = box.theta_bar_halfwidth + 12.0 * sd
+        hw = box.halfwidth + 12.0 * sd
         mu = np.linspace(box.theta_bar_center - hw, box.theta_bar_center + hw, 301)
         compared["mu"] += _compare_with_dense_grid(_mu_inf_density(box, n), box, mu)
 
@@ -150,7 +152,7 @@ def _box(cfg, center, n, frac):
 
 def _mu_grid(box, ds, points):
     """mu across the mu-factor integration range, plus y_bar itself."""
-    hw = box.theta_bar_halfwidth + 12.0 * math.sqrt(box.a_high / ds.n)
+    hw = box.halfwidth + 12.0 * math.sqrt(box.a_high / ds.n)
     return np.append(np.linspace(ds.y_bar - hw, ds.y_bar + hw, points), ds.y_bar)
 
 
@@ -235,7 +237,7 @@ def _mp_mu_factor(box, ds, cfg):
     with mp.workdps(30):
         n = mp.mpf(ds.n)
         a_lo, a_hi = mp.mpf(box.a_low), mp.mpf(box.a_high)
-        tb_c, hw = mp.mpf(box.theta_bar_center), mp.mpf(box.theta_bar_halfwidth)
+        tb_c, hw = mp.mpf(box.theta_bar_center), mp.mpf(box.halfwidth)
         sd = mp.sqrt(a_hi / n)
         r = mp.sqrt(mp.log(a_hi / a_lo) * a_lo * a_hi / (n * (a_hi - a_lo)))
 
@@ -261,6 +263,8 @@ def test_epsilon_needs_n_at_least_five():
     box = SmallSetBox.from_level(4 * 0.05 ** 2, ds, TIGHT)
     with pytest.raises(MinorizationError, match="n=4"):
         epsilon_lower_bound(box, ds, TIGHT)
+    with pytest.raises(MinorizationError, match="n=4"):
+        uniform_component(box, ds, TIGHT, default_large_set(ds, TIGHT))
 
 
 def test_quadrature_volume_below_mc_overlap(tight100):
@@ -305,14 +309,23 @@ def test_q_mass_lower_bound_examples():
 def test_band_mass_bounds(tight100):
     ds, spec, d = tight100
     box = SmallSetBox.from_level(d, ds, TIGHT)
-    q = uniform_component_band_mass(box, ds, TIGHT, spec, )
+    _, q = uniform_component(box, ds, TIGHT, spec)
     assert 0.0 <= q <= 1.0
     assert q > 0.9
     from driftbound.hier_model import LargeSetSpec
     wide = LargeSetSpec(T=1e-7, center=spec.center)
     # the widened band still cuts the far upper tail, so the mass is close
     # to one only up to that genuine tail contribution
-    assert uniform_component_band_mass(box, ds, TIGHT, wide) == pytest.approx(1.0, abs=1e-4)
+    assert uniform_component(box, ds, TIGHT, wide)[1] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("factor", [0.3, 1.0])
+def test_uniform_component_epsilon_is_epsilon_lower_bound(tight100, factor):
+    ds, spec, d = tight100
+    box = SmallSetBox.from_level(d * factor, ds, TIGHT)
+    eps, _ = uniform_component(box, ds, TIGHT, spec)
+    assert eps == epsilon_lower_bound(box, ds, TIGHT)
+
 
 
 def test_epsilon_report_guard_trips():

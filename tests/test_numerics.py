@@ -114,8 +114,11 @@ def test_integrate_reports_nonfinite_abscissa():
         integrate(f, 0.0, 1.0)
 
 
-def test_scalar_only_integrand_supported():
-    assert integrate(lambda x: math.exp(x), 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-9)
+def test_integrand_of_wrong_shape_rejected():
+    with pytest.raises(NumericsError, match="shape"):
+        integrate(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(NumericsError, match="shape"):
+        integrate_halfline(lambda x: np.exp(-x)[:-1])
 
 
 def test_quadrature_spec_validation():

@@ -13,6 +13,7 @@ from driftbound.hier_model import (
     ModelError,
     data_center,
     default_large_set,
+    default_small_set_level,
     drift_offset_b,
     expected_drift,
     gibbs_step,
@@ -368,7 +369,7 @@ def hitting(tight100):
     ds50 = synth_dataset(50, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
     spec50 = default_large_set(ds50, TIGHT)
     b = drift_offset_b(ds50, TIGHT, spec50)
-    d = 2.5 * b / (1.0 - lambda_T(spec50, TIGHT.V))
+    d = default_small_set_level(b, lambda_T(spec50, TIGHT.V))
     from driftbound.bound_core import DriftParameters, derive_alpha_lambda
     alpha, _ = derive_alpha_lambda(DriftParameters(lam=lambda_T(spec50, TIGHT.V),
                                                    b_drift=b, d_small=d))
