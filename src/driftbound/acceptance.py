@@ -18,8 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,8 +59,6 @@ from .minorization import (
 )
 from .numerics import RngStream
 from .simulation import (
-    ORACLE_STREAM,
-    REFERENCE_STREAM,
     BinGrid,
     SimulationPlan,
     hitting_time_stats,
@@ -72,6 +72,37 @@ from .simulation import (
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 _MASTER_SEED = 20260801
+_DATA_SEED = 7
+
+# Every stream a criterion draws from, with its one owner: the stream
+# (_MASTER_SEED, index), in index order.  The chains of the ensembles and
+# pair simulations take (seed, ENSEMBLE_STREAM_BASE + i) and
+# (seed, PAIR_STREAM_BASE + j) from their own plan seeds.  Datasets are
+# inputs, not draws: each is synthesized from the stream (_DATA_SEED, 0), so
+# criteria that agree on n and the center see the same data.
+_STREAMS = {
+    "4 reference chain": 1,     # both sample sizes
+    "1 state picker": 2,
+    "2 states": 3,
+    "7 reference chain": 4,
+    "7 trace chain": 5,
+    "7 restricted chain": 6,
+    "5 reference chain": 7,
+    "8 parameter sets": 8,
+    "6 reference chain": 9,
+    "9 overlap n=50": 12,
+    "9 overlap n=100": 13,
+    "1 states": range(102, 152),
+}
+_PLAN_SEEDS = {
+    "4 ensembles": _MASTER_SEED,    # both sample sizes
+    "5 ensemble": _MASTER_SEED + 1,
+    "7 return times": _MASTER_SEED + 2,
+}
+
+
+def _stream(owner: str) -> RngStream:
+    return RngStream(_MASTER_SEED, _STREAMS[owner])
 
 
 @dataclass(frozen=True)
@@ -104,21 +135,49 @@ def _classic_model(center: float = 2.0, delta: float = 1.0) -> tuple[ModelConfig
     return ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=delta), center
 
 
-def _dataset(cfg: ModelConfig, n: int, center: float, seed: int = 7):
-    return synth_dataset(n, center, cfg, RngStream(seed, 0), exact_center=True)
+def _dataset(cfg: ModelConfig, n: int, center: float):
+    return synth_dataset(n, center, cfg, RngStream(_DATA_SEED, 0), exact_center=True)
 
 
-_LATENT_ROWS = 2048  # latent vectors held at once by _one_step_energy_mc
+_LATENT_ROWS = 512  # latent vectors drawn at once by _one_step_energy_mc
 
 
-def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
+def _latent_summary(mu1, z, ds, w, sd):
+    """Row means and unbiased variances of ``theta = mu1*w + y*(1-w) + sd*z``
+    without forming theta.
+
+    Since ``theta - theta_bar = (1-w)*(y - y_bar) + sd*(z - z_bar)`` row by
+    row, with ``delta`` the centered sum of squares of y,
+
+        theta_bar   = mu1*w + (1-w)*y_bar + sd*sum(z)/n
+        (n-1)*s^2   = (1-w)^2*delta + 2*(1-w)*sd*(z @ (y - y_bar))
+                      + sd^2*(sum(z^2) - sum(z)^2/n),
+
+    so three row reductions of ``z``, one pass over it each, give both.
+    """
+    n = ds.n
+    z_sum = z.sum(axis=1)
+    z_sq = np.einsum("ij,ij->i", z, z)
+    z_y = np.einsum("ij,j->i", z, ds.y - ds.y_bar)
+    tb1 = mu1 * w + (1.0 - w) * ds.y_bar + sd * z_sum / n
+    ss = ((1.0 - w) ** 2 * ds.delta + 2.0 * (1.0 - w) * sd * z_y
+          + sd * sd * (z_sq - z_sum * z_sum / n))
+    return tb1, ss / (n - 1)
+
+
+def _one_step_energy_mc(ds, cfg, center, theta_bar, a_val, n_draws, stream):
     """Brute-force one-sweep energy average drawing the full latent vector.
 
     Kept independent of the summary-state recursion on purpose: this is the
-    oracle route for the exact-moment formulas.
+    oracle route for the exact-moment formulas.  Every coordinate of the
+    latent vector theta' ~ N(mu'*w + y*(1-w), sd^2) is drawn, and the
+    sweep's theta_bar' and S' are its sample mean and variance, reduced by
+    :func:`_latent_summary` from the same normals by exact algebra; no
+    distributional fact about the summary state (the laws ``_marginal``
+    samples from) is used, and A' is drawn from its full conditional given
+    S'.  ``center`` is the drift function's center, ``data_center(ds, cfg)``.
     """
     n, v = ds.n, cfg.V
-    c = data_center(ds, cfg)
     a1 = cfg.prior_shape_a + 0.5 * (n - 1)
     g = stream.generator
     chunk = max(1, 4_000_000 // n)
@@ -127,6 +186,7 @@ def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
     done = 0
     w = v / (v + a_val)
     sd = math.sqrt(a_val * v / (v + a_val))
+    z = np.empty((_LATENT_ROWS, n))
     while done < n_draws:
         m = min(chunk, n_draws - done)
         mu1 = g.normal(theta_bar, math.sqrt(a_val / n), m)
@@ -136,13 +196,12 @@ def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
         s1 = np.empty(m)
         for r in range(0, m, _LATENT_ROWS):
             rows = slice(r, min(r + _LATENT_ROWS, m))
-            theta = (mu1[rows, None] * w + ds.y[None, :] * (1.0 - w)
-                     + sd * g.standard_normal((rows.stop - r, n)))
-            tb1[rows] = theta.mean(axis=1)
-            s1[rows] = theta.var(axis=1, ddof=1)
+            block = z[:rows.stop - r]
+            g.standard_normal(out=block)
+            tb1[rows], s1[rows] = _latent_summary(mu1[rows], block, ds, w, sd)
         beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
         a_new = beta / g.standard_gamma(a1, m)
-        f = n * ((tb1 - ds.y_bar) ** 2 + (c - a_new) ** 2)
+        f = n * ((tb1 - ds.y_bar) ** 2 + (center - a_new) ** 2)
         total += float(f.sum())
         total_sq += float((f * f).sum())
         done += m
@@ -156,24 +215,45 @@ def _one_step_energy_mc(ds, cfg, theta_bar, a_val, n_draws, stream):
 # ---------------------------------------------------------------------------
 
 
+def _criterion_1_abs_z(n_draws: int, workers: int) -> list[float]:
+    """|z| of the full-kernel Monte Carlo one-sweep energy against the exact
+    moment at each of criterion 1's 50 states, in state order.
+
+    All states are picked, and their streams keyed, before any is run; each
+    state then draws only from its own stream, so the list does not depend
+    on ``workers``, the number of threads the states run on.
+    """
+    cfg, center = _classic_model()
+    ds = _dataset(cfg, 100, center)
+    c = data_center(ds, cfg)
+    rng = _stream("1 state picker").generator
+    states = []
+    for index in _STREAMS["1 states"]:
+        tb = ds.y_bar + rng.uniform(-3.0, 3.0)
+        a_val = rng.uniform(0.2, 2.0 * center - 0.2)
+        states.append((tb, a_val, expected_drift(tb, a_val, ds, cfg),
+                       RngStream(_MASTER_SEED, index)))
+
+    def abs_z(state):
+        tb, a_val, exact, stream = state
+        mc, se = _one_step_energy_mc(ds, cfg, c, tb, a_val, n_draws, stream)
+        return abs(mc - exact) / se
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(abs_z, states))
+
+
 def criterion_1_exact_moment_oracle(scale: float = 1.0) -> CriterionResult:
     """One-sweep expected energy matches a full-kernel Monte Carlo average
     at 50 random states (n=100, center=2, V=1): the largest |z| stays under
-    the Sidak threshold whose family-wise rate is that of one |z| <= 3 test."""
+    the Sidak threshold whose family-wise rate is that of one |z| <= 3 test.
+    The states run on one thread per available CPU; the result is the same
+    on any number."""
     t0 = time.monotonic()
-    cfg, center = _classic_model()
-    ds = _dataset(cfg, 100, center)
-    n_states = 50
+    n_states = len(_STREAMS["1 states"])
     n_draws = _count(1_000_000, scale, floor=20_000)
-    rng = RngStream(_MASTER_SEED, ORACLE_STREAM).generator
-    worst = 0.0
-    for i in range(n_states):
-        tb = ds.y_bar + rng.uniform(-3.0, 3.0)
-        a_val = rng.uniform(0.2, 2.0 * center - 0.2)
-        exact = expected_drift(tb, a_val, ds, cfg)
-        stream = RngStream(_MASTER_SEED, ORACLE_STREAM + 100 + i)
-        mc, se = _one_step_energy_mc(ds, cfg, tb, a_val, n_draws, stream)
-        worst = max(worst, abs(mc - exact) / se)
+    workers = min(n_states, len(os.sched_getaffinity(0)))
+    worst = max(_criterion_1_abs_z(n_draws, workers))
     alpha = 2.0 * ndtr(-3.0)
     z_max = -ndtri(-0.5 * math.expm1(math.log1p(-alpha) / n_states))
     seconds = time.monotonic() - t0
@@ -194,7 +274,7 @@ def criterion_2_drift_inequality(scale: float = 1.0) -> CriterionResult:
     spec = default_large_set(ds, cfg)
     b = drift_offset_b(ds, cfg, spec)
     n_states = _count(10_000, scale, floor=2_000)
-    rng = RngStream(_MASTER_SEED, ORACLE_STREAM + 1).generator
+    rng = _stream("2 states").generator
     tb = ds.y_bar + rng.uniform(-10.0, 10.0, n_states)
     a_val = rng.uniform(spec.a_low, spec.a_high, n_states)
     lhs = expected_drift(tb, a_val, ds, cfg)
@@ -262,7 +342,7 @@ def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
         spec = default_large_set(ds, cfg)
         report = assemble_gibbs_bound(ds, cfg, large_set=spec, k_max=k_max)
         ref_tb, ref_a = run_reference_chain(
-            ds, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM), ref_steps, ref_burn
+            ds, cfg, _stream("4 reference chain"), ref_steps, ref_burn
         )
         bins = BinGrid.equal_mass(ref_tb, ref_a, (64, 64))
         ref_counts = bins.counts(ref_tb, ref_a)
@@ -271,7 +351,7 @@ def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
             bins.counts(ref_tb[:half], ref_a[:half]),
             bins.counts(ref_tb[half:], ref_a[half:]),
         )
-        plan = SimulationPlan(n_chains=n_chains, n_steps=k_max, seed=_MASTER_SEED)
+        plan = SimulationPlan(n_chains=n_chains, n_steps=k_max, seed=_PLAN_SEEDS["4 ensembles"])
         summary = run_ensemble(plan, ds, cfg, initial_state(ds, cfg), bins=bins,
                                record_states=False)
         slack = 3.0 * math.hypot(1.0 / (2.0 * math.sqrt(n_chains)), ref_split)
@@ -300,7 +380,7 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
     from .hier_model import tail_probability_bound
 
     n_chains = _count(100_000, scale, floor=5_000)
-    plan = SimulationPlan(n_chains=n_chains, n_steps=10, seed=_MASTER_SEED + 1)
+    plan = SimulationPlan(n_chains=n_chains, n_steps=10, seed=_PLAN_SEEDS["5 ensemble"])
     summary = run_ensemble(plan, ds, cfg, initial_state(ds, cfg), large_set=spec,
                            record_states=False)
     exit_freq = 1.0 - summary.in_band_fraction
@@ -308,7 +388,7 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
 
     ref_steps = _count(1_000_000, scale, floor=100_000)
     ref_tb, ref_a = run_reference_chain(
-        ds, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM + 1), ref_steps,
+        ds, cfg, _stream("5 reference chain"), ref_steps,
         _count(100_000, scale, floor=10_000),
     )
     out = (~spec.contains(ref_a)).astype(float)
@@ -350,7 +430,7 @@ def criterion_6_posterior_functional(scale: float = 1.0) -> CriterionResult:
     ds50 = _dataset(cfg, 50, center)
     steps = _count(1_000_000, scale, floor=100_000)
     tb, aa = run_reference_chain(
-        ds50, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM + 2), steps,
+        ds50, cfg, _stream("6 reference chain"), steps,
         _count(100_000, scale, floor=10_000),
     )
     inv = 1.0 / aa
@@ -385,7 +465,7 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     ref_steps = _count(10_000_000, scale, floor=400_000)
     ref_burn = _count(1_000_000, scale, floor=40_000)
     ref_tb, ref_a = run_reference_chain(
-        ds, cfg, RngStream(_MASTER_SEED, REFERENCE_STREAM + 3), ref_steps, ref_burn
+        ds, cfg, _stream("7 reference chain"), ref_steps, ref_burn
     )
     keep = spec.contains(ref_a)
     ref_tb, ref_a = ref_tb[keep], ref_a[keep]
@@ -394,10 +474,8 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
 
     n_samples = _count(1_000_000, scale, floor=100_000)
     burn = _count(10_000, scale, floor=2_000)
-    tr_tb, tr_a = run_trace_chain(ds, cfg, spec, RngStream(_MASTER_SEED, REFERENCE_STREAM + 4),
-                                  n_samples, burn)
-    rs_tb, rs_a = run_restricted_chain(ds, cfg, spec,
-                                       RngStream(_MASTER_SEED, REFERENCE_STREAM + 5),
+    tr_tb, tr_a = run_trace_chain(ds, cfg, spec, _stream("7 trace chain"), n_samples, burn)
+    rs_tb, rs_a = run_restricted_chain(ds, cfg, spec, _stream("7 restricted chain"),
                                        n_samples, burn)
     tv_trace = tv_from_counts(bins.counts(tr_tb, tr_a), ref_counts)
     tv_restr = tv_from_counts(bins.counts(rs_tb, rs_a), ref_counts)
@@ -412,7 +490,7 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     alpha2, _ = derive_alpha_lambda(DriftParameters(lam=lam2, b_drift=b2, d_small=d2))
     n_pairs = _count(4_000, scale, floor=500)
     stats = hitting_time_stats(n_pairs, 60, ds2, cfg2, spec2, d2, alpha2,
-                               seed=_MASTER_SEED + 2)
+                               seed=_PLAN_SEEDS["7 return times"])
     worst_gap = -math.inf
     for j in range(1, 6):
         for k in (5, 10, 20, 35, 50):
@@ -439,8 +517,7 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
 def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
     """Balanced-rate identity to 1e-12 relative; whole-space reduction exact."""
     t0 = time.monotonic()
-    rng = np.random.Generator(np.random.Philox(key=np.array([_MASTER_SEED, 8],
-                                                            dtype=np.uint64)))
+    rng = _stream("8 parameter sets").generator
     worst_rel = 0.0
     exact_matches = True
     for _ in range(100):
@@ -478,7 +555,7 @@ def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
     n_samples = _count(100_000, scale, floor=20_000)
     measured = {}
     passed = True
-    for idx, n in enumerate((50, 100)):
+    for n in (50, 100):
         ds = _dataset(cfg, n, center)
         spec = default_large_set(ds, cfg)
         b = drift_offset_b(ds, cfg, spec)
@@ -486,7 +563,7 @@ def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
         box = SmallSetBox.from_level(d, ds, cfg)
         try:
             rep = build_epsilon_report(box, ds, cfg,
-                                       RngStream(_MASTER_SEED, ORACLE_STREAM + 10 + idx),
+                                       _stream(f"9 overlap n={n}"),
                                        n_samples=n_samples)
             measured[f"n{n}"] = {
                 "eps": float(f"{rep.epsilon_quadrature:.4e}"),
