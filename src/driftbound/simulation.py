@@ -11,7 +11,9 @@ Reproducibility contract: every chain owns the stream
 (seed, stream base + chain index) with a fixed per-step draw layout, chunk
 boundaries are fixed constants, and cross-chunk reductions either use exact
 integer arithmetic or ordered slot merges, so results are byte-identical
-across repeat runs and across worker counts.
+across repeat runs and across worker counts.  A long chain's path does not
+depend on the route its loop takes (fixed-point passes or the scalar sweep,
+see _marginal): both give the sequential sweep's bits.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from driftbound._marginal import _BLOCK, _SLICE, MarginalKernel, run_summary_chain
+from driftbound import _marginal
+from driftbound._marginal import _BLOCK, _PROBE, _SLICE, MarginalKernel, run_summary_chain
 from driftbound.hier_model import (
     LargeSetSpec,
     ModelConfig,
@@ -47,6 +49,17 @@ CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=
 def tight100():
     ds = synth_dataset(100, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
     return ds, default_large_set(ds, TIGHT), initial_state(ds, TIGHT)
+
+
+@pytest.fixture(scope="module")
+def classic20():
+    ds = synth_dataset(20, 2.0, CLASSIC, RngStream(7, 0), exact_center=True)
+    return ds, default_large_set(ds, CLASSIC), initial_state(ds, CLASSIC)
+
+
+def _narrow_band(ds, cfg):
+    c = data_center(ds, cfg)
+    return LargeSetSpec(T=0.97 * c, center=c)
 
 
 def test_plan_validation():
@@ -153,8 +166,7 @@ def test_ensemble_chain_equals_scalar_reference_chain(tight100):
 
 def test_step_arrays_band_equals_restricted_summary_chain(tight100):
     ds, _, x0 = tight100
-    c = data_center(ds, TIGHT)
-    narrow = LargeSetSpec(T=0.97 * c, center=c)
+    narrow = _narrow_band(ds, TIGHT)
     kernel = MarginalKernel(ds, TIGHT)
     n_steps = 300
     z, w, gam = kernel.draw_block(RngStream(79, 2), n_steps)
@@ -174,25 +186,81 @@ def test_step_arrays_band_equals_restricted_summary_chain(tight100):
 
 
 @pytest.mark.parametrize("banded", [False, True])
-def test_sliced_summary_chain_equals_array_sweep(tight100, banded):
-    # the long-chain loop turns a draw block into floats one slice at a time;
-    # across a slice boundary it still follows the array sweep bit for bit
-    ds, _, x0 = tight100
-    c = data_center(ds, TIGHT)
-    band = LargeSetSpec(T=0.97 * c, center=c) if banded else None
+def test_sliced_summary_chain_equals_array_sweep(tight100, classic20, banded):
+    # the long-chain loop solves a draw block one window at a time, by
+    # fixed-point passes (the tight model, unless a narrow band rejects
+    # most proposals) or by the scalar sweep (the classic model); on both
+    # routes, for a chain inside the probe window and across the probe and
+    # slice boundaries, it follows the array sweep bit for bit
+    for (ds, spec, x0), cfg in ((tight100, TIGHT), (classic20, CLASSIC)):
+        kernel = MarginalKernel(ds, cfg)
+        for band, n_steps in itertools.product(
+                (spec, _narrow_band(ds, cfg)) if banded else (None,),
+                (1, _PROBE - 1, _PROBE + 1, _SLICE + 17)):
+            z, w, gam = kernel.draw_block(RngStream(83, 4), n_steps)
+            tb, aa = np.array([x0.theta_bar]), np.array([x0.A])
+            path = np.empty((2, n_steps))
+            for t in range(n_steps):
+                _, tb, aa = kernel.step_arrays(tb, aa, z[t, 0], z[t, 1], z[t, 2], w[t],
+                                               gam[t], band=band)
+                path[:, t] = tb[0], aa[0]
+            ref_tb, ref_a = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
+                                              RngStream(83, 4), band=band)
+            assert np.array_equal(path[0], ref_tb), (cfg, band, n_steps)
+            assert np.array_equal(path[1], ref_a), (cfg, band, n_steps)
+
+
+@pytest.mark.parametrize("passes", [0, 1])
+def test_summary_chain_past_its_pass_budget_finishes_sequentially(tight100, monkeypatch,
+                                                                  passes):
+    # a window not settled within the pass budget is finished by the scalar
+    # sweep from its certified prefix, which must join the passes exactly
+    ds, band, x0 = tight100
     kernel = MarginalKernel(ds, TIGHT)
-    n_steps = _SLICE + 17
-    z, w, gam = kernel.draw_block(RngStream(83, 4), n_steps)
-    tb, aa = np.array([x0.theta_bar]), np.array([x0.A])
-    path = np.empty((2, n_steps))
-    for t in range(n_steps):
-        _, tb, aa = kernel.step_arrays(tb, aa, z[t, 0], z[t, 1], z[t, 2], w[t], gam[t],
-                                       band=band)
-        path[:, t] = tb[0], aa[0]
-    ref_tb, ref_a = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps,
-                                      RngStream(83, 4), band=band)
-    assert np.array_equal(path[0], ref_tb)
-    assert np.array_equal(path[1], ref_a)
+    n_steps = _PROBE + _SLICE + 17
+    default = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps, RngStream(61, 2),
+                                band=band)
+    monkeypatch.setattr(_marginal, "_PASSES", passes)
+    budgeted = run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps, RngStream(61, 2),
+                                 band=band)
+    assert np.array_equal(default[0], budgeted[0])
+    assert np.array_equal(default[1], budgeted[1])
+
+
+def _count_stage_calls(kernel):
+    """Wrap the kernel's stages; returns a log of (route, steps) per call."""
+    log = []
+
+    def counted(stage):
+        def wrapped(x, *args):
+            log.append(("scalar", 1) if isinstance(x, float) else ("pass", x.size))
+            return stage(x, *args)
+        return wrapped
+
+    for name in ("_scalar_a", "_array_a", "_tb_stage"):
+        setattr(kernel, name, counted(getattr(kernel, name)))
+    return log
+
+
+def test_summary_chain_route_is_chosen_by_the_chain(tight100, classic20):
+    # the tight model settles its probe window, so a long chain never runs
+    # the scalar sweep; the classic model does not, so no pass runs after
+    # its probe window and the scalar sweep makes every later step
+    ds, _, x0 = tight100
+    kernel = MarginalKernel(ds, TIGHT)
+    log = _count_stage_calls(kernel)
+    run_summary_chain(kernel, (x0.theta_bar, x0.A), 200_000, RngStream(5, 1))
+    assert not [c for c in log if c[0] == "scalar"]
+    assert log
+
+    ds, _, x0 = classic20
+    kernel = MarginalKernel(ds, CLASSIC)
+    log = _count_stage_calls(kernel)
+    n_steps = _PROBE + 2 * _SLICE
+    run_summary_chain(kernel, (x0.theta_bar, x0.A), n_steps, RngStream(5, 1))
+    passes = [size for route, size in log if route == "pass"]
+    assert passes and max(passes) <= _PROBE
+    assert sum(size for route, size in log if route == "scalar") >= 2 * (n_steps - _PROBE)
 
 
 def test_summary_chain_across_a_block_boundary_is_frozen(tight100):
