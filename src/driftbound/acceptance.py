@@ -45,6 +45,7 @@ from .hier_model import (
     default_small_set_level,
     drift_offset_b,
     drift_value_summary,
+    exit_budget,
     expected_drift,
     expected_inv_A,
     initial_state,
@@ -66,6 +67,7 @@ from .simulation import (
     run_reference_chain,
     run_restricted_chain,
     run_trace_chain,
+    split_half_tv,
     tv_from_counts,
 )
 
@@ -137,6 +139,12 @@ def _classic_model(center: float = 2.0, delta: float = 1.0) -> tuple[ModelConfig
 
 def _dataset(cfg: ModelConfig, n: int, center: float):
     return synth_dataset(n, center, cfg, RngStream(_DATA_SEED, 0), exact_center=True)
+
+
+def _batch_means_se(x: np.ndarray) -> float:
+    """Standard error of a chain average from 100 contiguous batch means."""
+    means = np.array([b.mean() for b in np.array_split(x, 100)])
+    return float(means.std(ddof=1) / math.sqrt(100))
 
 
 _LATENT_ROWS = 512  # latent vectors drawn at once by _one_step_energy_mc
@@ -346,11 +354,7 @@ def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
         )
         bins = BinGrid.equal_mass(ref_tb, ref_a, (64, 64))
         ref_counts = bins.counts(ref_tb, ref_a)
-        half = ref_tb.size // 2
-        ref_split = tv_from_counts(
-            bins.counts(ref_tb[:half], ref_a[:half]),
-            bins.counts(ref_tb[half:], ref_a[half:]),
-        )
+        ref_split = split_half_tv(bins, ref_tb, ref_a)
         plan = SimulationPlan(n_chains=n_chains, n_steps=k_max, seed=_PLAN_SEEDS["4 ensembles"])
         summary = run_ensemble(plan, ds, cfg, initial_state(ds, cfg), bins=bins,
                                record_states=False)
@@ -376,8 +380,7 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
     cfg, center = _tight_model()
     ds = _dataset(cfg, 100, center)
     spec = default_large_set(ds, cfg)
-    b = drift_offset_b(ds, cfg, spec)
-    from .hier_model import tail_probability_bound
+    tails, *_ = exit_budget(ds, cfg, spec, drift_offset_b(ds, cfg, spec))
 
     n_chains = _count(100_000, scale, floor=5_000)
     plan = SimulationPlan(n_chains=n_chains, n_steps=10, seed=_PLAN_SEEDS["5 ensemble"])
@@ -392,18 +395,15 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
         _count(100_000, scale, floor=10_000),
     )
     out = (~spec.contains(ref_a)).astype(float)
-    n_batches = 100
-    batches = np.array_split(out, n_batches)
-    means = np.array([b_.mean() for b_ in batches])
     pi_hat = float(out.mean())
-    pi_se = float(means.std(ddof=1) / math.sqrt(n_batches))
+    pi_se = _batch_means_se(out)
 
     worst = -math.inf
     for k in range(1, 11):
         emp = k * pi_hat + float(exit_freq[:k].sum())
         se = math.hypot(k * pi_se, math.sqrt(float((exit_se[:k] ** 2).sum())))
-        formula = tail_probability_bound(k, ds, cfg, spec, b)
-        worst = max(worst, emp - 3.0 * se - formula)
+        budget = k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
+        worst = max(worst, emp - 3.0 * se - budget)
     seconds = time.monotonic() - t0
     return CriterionResult(
         name="5 tail bound",
@@ -434,10 +434,8 @@ def criterion_6_posterior_functional(scale: float = 1.0) -> CriterionResult:
         _count(100_000, scale, floor=10_000),
     )
     inv = 1.0 / aa
-    n_batches = 100
-    means = np.array([b_.mean() for b_ in np.array_split(inv, n_batches)])
     mc = float(inv.mean())
-    se = float(means.std(ddof=1) / math.sqrt(n_batches))
+    se = _batch_means_se(inv)
     quad = expected_inv_A(ds50, cfg)
     mc_ok = abs(mc - quad) <= 3.0 * se
     seconds = time.monotonic() - t0
@@ -536,7 +534,7 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
         dc_full = derived_constants(p, m_full)
         for k in (1, 7, 40):
             lhs = classic_bound(p, eps, k)
-            rhs = evaluate_bound(p, m_full, dc_full, TailSequence.zero(), k)
+            rhs = evaluate_bound(p, m_full, dc_full, TailSequence(), k)
             exact_matches &= lhs == rhs
     seconds = time.monotonic() - t0
     return CriterionResult(

@@ -139,10 +139,6 @@ class TailSequence:
         if at_zero != 0.0:
             raise BoundError(f"cumulative_exit_bound(0) must be 0, got {at_zero!r}")
 
-    @staticmethod
-    def zero() -> "TailSequence":
-        return TailSequence()
-
 
 def derive_alpha_lambda(p: DriftParameters) -> tuple[float, float]:
     """Closed forms alpha^-1 = (1+2b+lambda*d)/(1+d) and Lambda = 1+2(lambda*d+b)."""
@@ -239,7 +235,7 @@ def classic_bound(
     mass and no exit terms."""
     m = MinorizationCertificate(epsilon=epsilon, q_mass_lower=1.0)
     dc = derived_constants(p, m)
-    return evaluate_bound(p, m, dc, TailSequence.zero(), k)
+    return evaluate_bound(p, m, dc, TailSequence(), k)
 
 
 def mixing_time_certificate(

@@ -59,6 +59,7 @@ from .simulation import (
     SimulationPlan,
     run_ensemble,
     run_reference_chain,
+    split_half_tv,
     tv_from_counts,
 )
 
@@ -370,18 +371,13 @@ def cmd_bound_curve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _report_json(report: GibbsBoundReport) -> str:
-    bc = report.constants
     doc = {
         "n": report.n,
-        "constants": {k: getattr(bc, k) for k in (
-            "lambda_T", "b_drift", "d_small", "T", "center", "epsilon", "q_mass_lower",
-            "alpha", "Lambda", "r", "gamma", "log_inv_gamma", "C1", "C2", "C3", "C4",
-        )},
+        "constants": asdict(report.constants),
         "K_bar": report.K_bar,
         "N_c": report.N_c,
         "mix_target_c": report.mix_target_c,
         "posterior_mean_inv_A": report.h_inv_a,
-        "exit_prob_upper": report.exit_prob_upper,
         "k": [int(k) for k in report.k_values],
         "certificate_raw": list(map(float, report.certificate_raw)),
         "certificate_clamped": list(map(float, report.certificate_clamped)),
@@ -395,9 +391,8 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
     The level d comes from the config when pinned and otherwise from the
     certificate of the first row that certifies (its default level), then
     stays fixed so the sweep probes how the remaining constants move with n
-    alone.  Every
-    row and the manifest are written even when some rows fail; the exit
-    code is then _EXIT_NUMERICAL.
+    alone.  Every row and the manifest are written even when some rows
+    fail; the exit code is then _EXIT_NUMERICAL.
     """
     if "file" in cfg.data_source:
         raise ConfigError("sweep-n synthesises its data for each n; "
@@ -454,11 +449,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     )
     bins = BinGrid.equal_mass(ref_tb, ref_a, (64, 64))
     ref_counts = bins.counts(ref_tb, ref_a)
-    half = ref_tb.size // 2
-    ref_split_tv = tv_from_counts(
-        bins.counts(ref_tb[:half], ref_a[:half]),
-        bins.counts(ref_tb[half:], ref_a[half:]),
-    )
+    ref_split_tv = split_half_tv(bins, ref_tb, ref_a)
 
     plan = SimulationPlan(seed=cfg.seed, **cfg.plan)
     summary = run_ensemble(plan, ds, cfg.model, x0, large_set=spec, bins=bins,

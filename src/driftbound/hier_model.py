@@ -11,8 +11,8 @@ This module owns the data handling, the Gibbs kernel, the energy function
 
 its exact one-step conditional expectation (composed from closed-form
 conditional moments, no sampling), the contraction factor and its threshold
-version on the retained A-band, the closed-form drift offset,
-exit-probability tail bounds, the posterior functional E[1/A], and the
+version on the retained A-band, the closed-form drift offset, the
+certificate's exit budget, the posterior functional E[1/A], and the
 end-to-end certificate assembly.
 """
 
@@ -58,7 +58,7 @@ __all__ = [
     "conditional_S_moments",
     "expected_drift",
     "drift_offset_b",
-    "tail_probability_bound",
+    "exit_budget",
     "expected_inv_A",
     "assemble_gibbs_bound",
     "extended_bound_general_start",
@@ -252,7 +252,6 @@ class GibbsBoundReport:
     N_c: int
     mix_target_c: float
     h_inv_a: float
-    exit_prob_upper: float
 
     def __post_init__(self):
         for name in ("k_values", "certificate_raw", "certificate_clamped",
@@ -547,27 +546,33 @@ def drift_offset_b(
     return b_sup * (1.0 + 0.5 * _B_ROUNDING)
 
 
-def tail_probability_bound(
-    k: int,
+def exit_budget(
     ds: Dataset,
     cfg: ModelConfig,
     spec: LargeSetSpec,
     b: float,
-) -> float:
-    """Budget for k steps of exit probability mass, from the canonical start:
+) -> tuple[TailSequence, float, float, float]:
+    """Exit terms of the certificate for leaving the retained band, from the
+    canonical start, with their constants (C2, C3, C4).
 
-        (k/sqrt(n)) * sqrt(b)*(2V/delta_margin + 1)/(center - T)
-          + (k(1+k)/(2n)) * b/(center - T)^2
+    With gap = center - T, the stationary mass outside the band is bounded
+    per step by pi_exit = sqrt(b/n)*(2V/delta_margin + 1)/gap = C3/sqrt(n),
+    and the chain's own exits through step k by C2*k(1+k)/n with
+    C2 = b/(2 gap^2); C4 = 1/gap^2 carries a start energy (see
+    :func:`extended_bound_general_start`).  The k-step budget is
+    k*pi_exit + C2*k(1+k)/n.
     """
-    if k < 0:
-        raise ModelError("k must be >= 0")
     gap = spec.center - spec.T
-    if gap == 0.0:
-        raise ModelError("center == T leaves a zero-width band")
     n = ds.n
-    lin = (k / math.sqrt(n)) * math.sqrt(b) * (2.0 * cfg.V / cfg.delta_margin + 1.0) / abs(gap)
-    quad = (k * (1.0 + k) / (2.0 * n)) * b / gap**2
-    return lin + quad
+    spread = 2.0 * cfg.V / cfg.delta_margin + 1.0
+    c2 = b / (2.0 * gap**2)
+    c3 = math.sqrt(b) * spread / gap
+    c4 = 1.0 / gap**2
+    tails = TailSequence(
+        pi_exit_bound=math.sqrt(b / n) * spread / gap,
+        cumulative_exit_bound=lambda k: c2 * k * (1.0 + k) / n,
+    )
+    return tails, c2, c3, c4
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +662,10 @@ def assemble_gibbs_bound(
 
     The minorization volume comes from the product-of-infima construction
     over the small-set box, and the mass of the constructed uniform
-    component on the retained band is evaluated directly by quadrature (the
-    one-step exit device is also computed and the better of the two lower
-    bounds is kept).  ``large_set`` must be centered at the data center, as
-    the small set is; d defaults to :func:`default_small_set_level`.
+    component on the retained band is evaluated directly by quadrature; the
+    exit terms come from :func:`exit_budget`.  ``large_set`` must be
+    centered at the data center, as the small set is; d defaults to
+    :func:`default_small_set_level`.
     """
     from . import minorization  # local import; minorization depends on this module
 
@@ -684,12 +689,7 @@ def assemble_gibbs_bound(
                          f"n*(center - T)^2={ds.n * gap**2!r}; increase n or lower d")
 
     box = minorization.SmallSetBox.from_level(d, ds, cfg)
-    eps, q_direct = minorization.uniform_component(box, ds, cfg, spec)
-
-    # one-step exit probability bound from the small set (drift + Markov)
-    exit_up = (lam_t * d + b) / (ds.n * gap**2)
-    q_remark = minorization.q_mass_lower_bound(eps, exit_up)
-    q = max(q_remark, q_direct)
+    eps, q = minorization.uniform_component(box, ds, cfg, spec)
     if q <= 0.0:
         raise ModelError("no positive lower bound on the uniform-component band mass")
 
@@ -698,14 +698,7 @@ def assemble_gibbs_bound(
     dc = derived_constants(p, m)
 
     c1 = 2.0 + b / (1.0 - lam_t)
-    c2 = b / (2.0 * gap**2)
-    c3 = math.sqrt(b) * (2.0 * cfg.V / cfg.delta_margin + 1.0) / gap
-    c4 = 1.0 / gap**2
-    pi_exit = math.sqrt(b / ds.n) * (2.0 * cfg.V / cfg.delta_margin + 1.0) / gap
-    tails = TailSequence(
-        pi_exit_bound=pi_exit,
-        cumulative_exit_bound=lambda k: c2 * k * (1.0 + k) / ds.n,
-    )
+    tails, c2, c3, c4 = exit_budget(ds, cfg, spec, b)
 
     ks = np.arange(1, k_max + 1)
     raw = np.array([evaluate_bound(p, m, dc, tails, int(k)) for k in ks])
@@ -741,7 +734,6 @@ def assemble_gibbs_bound(
         N_c=n_c,
         mix_target_c=mix_target_c,
         h_inv_a=h,
-        exit_prob_upper=exit_up,
     )
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "epsilon_lower_bound",
     "uniform_component",
     "overlap_oracle_mc",
-    "q_mass_lower_bound",
     "build_epsilon_report",
 ]
 
@@ -332,9 +331,7 @@ def uniform_component(
 
         integral inf_S * tail(S) / integral inf_S,
 
-    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.  This is
-    a direct, typically far sharper, lower bound on the component's band
-    mass than the one-step exit device.
+    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.
     """
     s_factor = _s_factor(box, ds, cfg)
     eps = _volume(s_factor, box, ds, cfg)  # eps > 0, so s_factor > 0 too
@@ -351,19 +348,6 @@ def uniform_component(
     num = _s_factor(box, ds, cfg, weight=tail)
     frac_out = min(max(num / s_factor, 0.0), 1.0)
     return eps, 1.0 - frac_out
-
-
-def q_mass_lower_bound(epsilon: float, exit_prob_upper: float) -> float:
-    """Band-mass lower bound from a one-step exit probability bound.
-
-    For any state x of the small set, epsilon * Q(outside) <= P(x, outside),
-    so Q(band) >= 1 - exit_prob_upper/epsilon, clamped at zero when vacuous.
-    """
-    if epsilon <= 0.0:
-        raise MinorizationError(f"epsilon must be positive, got {epsilon!r}")
-    if exit_prob_upper < 0.0:
-        raise MinorizationError("exit probability bound must be >= 0")
-    return max(0.0, 1.0 - exit_prob_upper / epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "run_trace_chain",
     "tv_lower_bound_estimate",
     "tv_from_counts",
+    "split_half_tv",
     "hitting_time_stats",
     "DATA_STREAM",
     "REFERENCE_STREAM",
@@ -360,6 +361,13 @@ def tv_from_counts(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     if na == 0 or nb == 0:
         raise SimulationError("empty sample set")
     return 0.5 * float(np.abs(counts_a / na - counts_b / nb).sum())
+
+
+def split_half_tv(bins: BinGrid, tb: np.ndarray, a: np.ndarray) -> float:
+    """Binned distance between the first and second halves of one chain's
+    samples, the sampling-noise floor of a reference chain."""
+    half = tb.size // 2
+    return tv_from_counts(bins.counts(tb[:half], a[:half]), bins.counts(tb[half:], a[half:]))
 
 
 def tv_lower_bound_estimate(samples_a, samples_b, bins: BinGrid) -> float:

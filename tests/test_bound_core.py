@@ -141,7 +141,7 @@ def test_bound_frozen_oracle_k100():
     p = _params(0.5, 1.0, 10.0, 0.0)
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
-    val = evaluate_bound(p, m, dc, TailSequence.zero(), 100)
+    val = evaluate_bound(p, m, dc, TailSequence(), 100)
     # frozen from a 40-digit term-by-term reference evaluation
     assert val == pytest.approx(0.0083504197998679341, rel=1e-12)
     t1, t2 = _mp_bound(0.5, 1.0, 10.0, 0.0, 0.5, 100)
@@ -155,7 +155,7 @@ def test_bound_decays_beyond_crossover():
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
     ks = [1, 2, 5, 10, 20, 50, 100, 300, 1000, 10_000, 100_000, 1_000_000]
-    vals = [evaluate_bound(p, m, dc, TailSequence.zero(), k) for k in ks]
+    vals = [evaluate_bound(p, m, dc, TailSequence(), k) for k in ks]
     peak = int(np.argmax(vals))
     assert all(vals[i] >= vals[i + 1] for i in range(peak, len(vals) - 1))
     assert vals[-1] < 1e-12
@@ -166,7 +166,7 @@ def test_tail_terms_are_additive():
     p = _params(0.5, 1.0, 10.0)
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
-    base = evaluate_bound(p, m, dc, TailSequence.zero(), 10)
+    base = evaluate_bound(p, m, dc, TailSequence(), 10)
     tails = TailSequence(pi_exit_bound=0.01,
                          cumulative_exit_bound=lambda k: 0.002 * k * (k + 1))
     with_tails = evaluate_bound(p, m, dc, tails, 10)
@@ -184,7 +184,7 @@ def test_classic_bound_equals_whole_space_reduction():
         p = _params(lam, b, d, rng.uniform(0.0, 2.0))
         m = MinorizationCertificate(epsilon=eps, q_mass_lower=1.0)
         dc = derived_constants(p, m)
-        assert classic_bound(p, eps, k) == evaluate_bound(p, m, dc, TailSequence.zero(), k)
+        assert classic_bound(p, eps, k) == evaluate_bound(p, m, dc, TailSequence(), k)
 
 
 def test_classic_bound_k1_positive_finite():
@@ -219,7 +219,7 @@ def test_no_overflow_for_huge_k():
     m = MinorizationCertificate(epsilon=1e-6, q_mass_lower=0.5)
     dc = derived_constants(p, m)
     for k in (1, 1000, 1_000_000):
-        v = evaluate_bound(p, m, dc, TailSequence.zero(), k)
+        v = evaluate_bound(p, m, dc, TailSequence(), k)
         assert math.isfinite(v) and v >= 0.0
 
 
@@ -228,7 +228,7 @@ def test_evaluate_bound_k_validation():
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
     with pytest.raises(BoundError):
-        evaluate_bound(p, m, dc, TailSequence.zero(), 0)
+        evaluate_bound(p, m, dc, TailSequence(), 0)
 
 
 # ---------------------------------------------------------------------------

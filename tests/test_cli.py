@@ -153,6 +153,18 @@ def test_bound_curve_rerun_is_byte_identical(curve_run):
     assert (out / "bound_report.json").read_bytes() == (out2 / "bound_report.json").read_bytes()
 
 
+def test_bound_report_key_set(curve_run):
+    _, _, out = curve_run
+    doc = json.loads((out / "bound_report.json").read_text())
+    assert set(doc) == {"n", "constants", "K_bar", "N_c", "mix_target_c",
+                        "posterior_mean_inv_A", "k", "certificate_raw",
+                        "certificate_clamped"}
+    assert set(doc["constants"]) == {
+        "lambda_T", "b_drift", "d_small", "T", "center", "epsilon", "q_mass_lower",
+        "alpha", "Lambda", "r", "gamma", "log_inv_gamma", "C1", "C2", "C3", "C4",
+    }
+
+
 def test_manifest_digests_match(curve_run):
     _, _, out = curve_run
     manifest = json.loads((out / "manifest.json").read_text())

@@ -21,6 +21,7 @@ from driftbound.hier_model import (
     drift_offset_b,
     drift_value,
     drift_value_summary,
+    exit_budget,
     expected_drift,
     expected_inv_A,
     extended_bound_general_start,
@@ -32,7 +33,6 @@ from driftbound.hier_model import (
     make_state,
     sufficient_stats,
     synth_dataset,
-    tail_probability_bound,
 )
 from driftbound.hier_model import _B_ROUNDING, _log_a_kernel, _log_a_peak
 from driftbound.numerics import RngStream
@@ -505,17 +505,23 @@ def test_theta_bar_reduction_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_tail_probability_bound_direct():
+def test_exit_budget_direct():
     # b=1, T=1, center=2, margin=1, V=1, n=100, k=5:
-    #   (5/10)*1*3/1 + (30/200)*1/1 = 1.65
+    #   5*sqrt(1/100)*3/1 + (1/2)*5*6/100 = 1.65
     base = np.array([1.0, -1.0] + [0.0] * 98)
     scale = math.sqrt(3.0 * 99.0 / float(((base - base.mean()) ** 2).sum()))
     ds = sufficient_stats(base * scale)
     cfg = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
     assert ds.delta / 99.0 == pytest.approx(3.0, rel=1e-12)
     spec = LargeSetSpec(T=1.0, center=data_center(ds, cfg))
-    assert tail_probability_bound(5, ds, cfg, spec, 1.0) == pytest.approx(1.65, rel=1e-9)
-    assert tail_probability_bound(0, ds, cfg, spec, 1.0) == 0.0
+    tails, c2, c3, c4 = exit_budget(ds, cfg, spec, 1.0)
+    assert (c2, c3, c4) == pytest.approx((0.5, 3.0, 1.0), rel=1e-9)
+
+    def budget(k):
+        return k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
+
+    assert budget(5) == pytest.approx(1.65, rel=1e-9)
+    assert budget(0) == 0.0
 
 
 def test_expected_inv_a_against_high_precision_reference():
@@ -581,6 +587,18 @@ def test_assembled_constants_satisfy_invariants(tight_report):
     assert np.all(report.three_term_total >= report.term_geometric)
     assert np.all(report.certificate_clamped <= 1.0)
     assert np.all(np.diff(report.term_geometric) < 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 25600])
+def test_band_mass_is_the_uniform_component_mass(n):
+    # the certified band mass is the direct quadrature, bit for bit
+    from driftbound import minorization
+
+    ds = tight_data(n)
+    bc = assemble_gibbs_bound(ds, TIGHT, k_max=1).constants
+    box = minorization.SmallSetBox.from_level(bc.d_small, ds, TIGHT)
+    _, q = minorization.uniform_component(box, ds, TIGHT, default_large_set(ds, TIGHT))
+    assert bc.q_mass_lower == q
 
 
 def test_assembled_bound_recomputed_term_by_term(tight_report):
@@ -712,7 +730,6 @@ def test_extended_bound_log_n_steps_suffice_for_order_one_rate():
         n=n, constants=bc, k_values=ks, certificate_raw=ks, certificate_clamped=ks,
         term_geometric=ks, term_quadratic=ks, term_sqrt=ks, three_term_total=ks,
         three_term_clamped=ks, K_bar=1, N_c=1, mix_target_c=0.25, h_inv_a=10.0,
-        exit_prob_upper=0.0,
     )
     f0 = n / (2.0 * math.log(n))
     x0 = make_state(0.0, 0.1, ds.y_bar + math.sqrt(f0 / n) * np.ones(n))

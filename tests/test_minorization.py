@@ -28,7 +28,6 @@ from driftbound.minorization import (
     build_epsilon_report,
     epsilon_lower_bound,
     overlap_oracle_mc,
-    q_mass_lower_bound,
     uniform_component,
 )
 from driftbound.numerics import RngStream
@@ -294,16 +293,6 @@ def test_pair_overlap_symmetric_within_error(tight100):
     e2, s2 = _pair_overlap(b_state, a_state, ds, TIGHT, RngStream(19, 2), 50_000)
     assert 0.0 < e1 < 1.0 and 0.0 < e2 < 1.0
     assert abs(e1 - e2) <= 4.0 * math.hypot(s1, s2)
-
-
-def test_q_mass_lower_bound_examples():
-    assert q_mass_lower_bound(0.2, 0.02) == pytest.approx(0.9, rel=1e-15)
-    assert q_mass_lower_bound(0.2, 0.0) == 1.0
-    assert q_mass_lower_bound(0.2, 0.5) == 0.0
-    with pytest.raises(MinorizationError):
-        q_mass_lower_bound(0.0, 0.1)
-    with pytest.raises(MinorizationError):
-        q_mass_lower_bound(0.2, -0.1)
 
 
 def test_band_mass_bounds(tight100):

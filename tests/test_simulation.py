@@ -17,13 +17,13 @@ from driftbound.hier_model import (
     default_large_set,
     default_small_set_level,
     drift_offset_b,
+    exit_budget,
     expected_drift,
     gibbs_step,
     initial_state,
     lambda_T,
     make_state,
     synth_dataset,
-    tail_probability_bound,
 )
 from driftbound.numerics import RngStream, integrate
 from driftbound.simulation import (
@@ -121,11 +121,11 @@ def test_ensemble_step_one_matches_exact_moment(tight100):
 
 def test_band_fraction_dominated_by_tail_budget(tight100):
     ds, spec, x0 = tight100
-    b = drift_offset_b(ds, TIGHT, spec)
+    tails, *_ = exit_budget(ds, TIGHT, spec, drift_offset_b(ds, TIGHT, spec))
     plan = SimulationPlan(n_chains=20_000, n_steps=8, seed=13)
     summary = run_ensemble(plan, ds, TIGHT, x0, large_set=spec, record_states=False)
     for k in range(1, 9):
-        budget = tail_probability_bound(k, ds, TIGHT, spec, b)
+        budget = k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
         assert 1.0 - summary.in_band_fraction[k - 1] <= budget + 1e-12
 
 
