@@ -5,8 +5,8 @@ The package splits into:
 - :mod:`driftbound.numerics` -- quadrature and keyed random streams;
 - :mod:`driftbound.bound_core` -- model-agnostic drift/minorization
   certificates and their evaluation;
-- :mod:`driftbound.hier_model` -- the two-level normal model, its Gibbs
-  kernel, exact conditional moments, and certificate assembly;
+- :mod:`driftbound.hier_model` -- the two-level normal model, its chain
+  state, exact conditional moments, and certificate assembly;
 - :mod:`driftbound.minorization` -- the uniform kernel component over a
   small-set box, with a Monte Carlo honesty oracle;
 - :mod:`driftbound.simulation` -- ensembles, reference chains, restricted
@@ -45,7 +45,6 @@ from .hier_model import (  # noqa: F401
     drift_value,
     expected_drift,
     expected_inv_A,
-    gibbs_step,
     initial_state,
     lambda_T,
     lambda_factor,

@@ -39,6 +39,7 @@ from .bound_core import (
 )
 from .hier_model import (
     ModelConfig,
+    ModelError,
     assemble_gibbs_bound,
     data_center,
     default_large_set,
@@ -147,7 +148,7 @@ def _batch_means_se(x: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(100))
 
 
-_LATENT_ROWS = 512  # latent vectors drawn at once by _one_step_energy_mc
+_LATENT_ROWS = 512  # latent vectors held at once by _gibbs_sweeps
 
 
 def _latent_summary(mu1, z, ds, w, sd):
@@ -173,46 +174,70 @@ def _latent_summary(mu1, z, ds, w, sd):
     return tb1, ss / (n - 1)
 
 
-def _one_step_energy_mc(ds, cfg, center, theta_bar, a_val, n_draws, stream):
-    """Brute-force one-sweep energy average drawing the full latent vector.
+def _gibbs_sweeps(theta_bar, A, ds, cfg, m, stream, band=None):
+    """``m`` independent full-latent Gibbs sweeps from the state
+    (theta_bar, A); returns the length-m arrays (mu', theta_bar', S', A').
 
     Kept independent of the summary-state recursion on purpose: this is the
-    oracle route for the exact-moment formulas.  Every coordinate of the
-    latent vector theta' ~ N(mu'*w + y*(1-w), sd^2) is drawn, and the
-    sweep's theta_bar' and S' are its sample mean and variance, reduced by
-    :func:`_latent_summary` from the same normals by exact algebra; no
-    distributional fact about the summary state (the laws ``_marginal``
-    samples from) is used, and A' is drawn from its full conditional given
-    S'.  ``center`` is the drift function's center, ``data_center(ds, cfg)``.
+    oracle route for the exact-moment formulas and for ``_marginal``.  Each
+    sweep draws mu' ~ N(theta_bar, A/n), then every coordinate of the latent
+    vector theta' ~ N(mu'*w + y*(1-w), sd^2), w = V/(V+A), sd^2 = A*V/(V+A),
+    whose sample mean theta_bar' and variance S' :func:`_latent_summary`
+    reduces from the same normals by exact algebra, then A' from its full
+    conditional given S'.  No distributional fact about the summary state
+    (the laws ``_marginal`` samples from) is used.
+
+    Draw layout (fixed for reproducibility): m normals for mu', the latent
+    normals in the row-major order of one (m, n) block, of which only
+    ``_LATENT_ROWS`` rows are held at a time, then m standard gammas for A';
+    one sweep draws one normal, n normals and one gamma.
+
+    With ``band`` each sweep is the per-sub-step rejection kernel on the
+    band: the mu and theta stages cannot leave a band that constrains A
+    alone, so they always go through, and an A proposal outside the band is
+    dropped and A kept.  Under shared randomness it emits exactly the
+    unrestricted sweeps whose proposals stay inside.
+
+    Criterion 1 calls this from its worker threads, so it calls no public
+    function of the package on the unrestricted route.
     """
+    if band is not None and not band.contains(A):
+        raise ModelError("state outside the retained band")
     n, v = ds.n, cfg.V
-    a1 = cfg.prior_shape_a + 0.5 * (n - 1)
     g = stream.generator
+    mu1 = g.normal(theta_bar, math.sqrt(A / n), m)
+    w = v / (v + A)
+    sd = math.sqrt(A * v / (v + A))
+    tb1 = np.empty(m)
+    s1 = np.empty(m)
+    z = np.empty((min(m, _LATENT_ROWS), n))
+    for r in range(0, m, _LATENT_ROWS):
+        rows = slice(r, min(r + _LATENT_ROWS, m))
+        block = z[:rows.stop - r]
+        g.standard_normal(out=block)
+        tb1[rows], s1[rows] = _latent_summary(mu1[rows], block, ds, w, sd)
+    beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
+    a1 = beta / g.standard_gamma(cfg.prior_shape_a + 0.5 * (n - 1), m)
+    if band is not None:
+        a1 = np.where(band.contains(a1), a1, A)
+    return mu1, tb1, s1, a1
+
+
+def _one_step_energy_mc(ds, cfg, center, theta_bar, a_val, n_draws, stream):
+    """Monte Carlo mean of the one-sweep energy from (theta_bar, a_val) and
+    its standard error, over ``n_draws`` sweeps of :func:`_gibbs_sweeps`
+    run in chunks of at most 4e6 latent coordinates.  ``center`` is the
+    drift function's center, ``data_center(ds, cfg)``."""
+    n = ds.n
     chunk = max(1, 4_000_000 // n)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    w = v / (v + a_val)
-    sd = math.sqrt(a_val * v / (v + a_val))
-    z = np.empty((_LATENT_ROWS, n))
-    while done < n_draws:
+    for done in range(0, n_draws, chunk):
         m = min(chunk, n_draws - done)
-        mu1 = g.normal(theta_bar, math.sqrt(a_val / n), m)
-        # the latent vectors in row slices, drawn in the order of one
-        # (m, n) block, so only a slice is ever held
-        tb1 = np.empty(m)
-        s1 = np.empty(m)
-        for r in range(0, m, _LATENT_ROWS):
-            rows = slice(r, min(r + _LATENT_ROWS, m))
-            block = z[:rows.stop - r]
-            g.standard_normal(out=block)
-            tb1[rows], s1[rows] = _latent_summary(mu1[rows], block, ds, w, sd)
-        beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
-        a_new = beta / g.standard_gamma(a1, m)
-        f = n * ((tb1 - ds.y_bar) ** 2 + (center - a_new) ** 2)
+        _, tb1, _, a1 = _gibbs_sweeps(theta_bar, a_val, ds, cfg, m, stream)
+        f = n * ((tb1 - ds.y_bar) ** 2 + (center - a1) ** 2)
         total += float(f.sum())
         total_sq += float((f * f).sum())
-        done += m
     mean = total / n_draws
     var = max(total_sq / n_draws - mean * mean, 0.0)
     return mean, math.sqrt(var / n_draws)

@@ -13,8 +13,9 @@ Every command resolves one JSON config (``--config``; a built-in desk-scale
 default otherwise), honors ``--seed``/``--out``/``--k-max`` overrides, and
 writes a run manifest with content digests of every emitted file.  Stream
 indices under the master seed are fixed: 0 data synthesis, 1 reference
-chain, 2 oracles, 1_000_000 + i ensemble chain i, 3_000_000 + 2p (+1) the
-two chains of pair p.
+chain, 1_000_000 + i ensemble chain i, 3_000_000 + 2p (+1) the two chains
+of pair p.  ``validate`` draws from the streams of ``acceptance._STREAMS``
+under that module's own seed.
 
 Exit codes: 0 success (all criteria pass for ``validate``), 1 config error,
 2 numerical failure (for ``sweep-n``: any failed row), 3 validation failure.
@@ -244,13 +245,23 @@ def load_observations(path: Path) -> Dataset:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path!s}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        values = json.loads(text)
+    if text.lstrip().startswith("["):
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"data file {path!s} is not valid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise ConfigError("JSON data file must contain an array of numbers")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"data file {path!s}: entry {v!r} is not a number")
         return sufficient_stats([float(v) for v in values])
-    values = [float(line) for line in text.split() if line.strip()]
+    values = []
+    for token in text.split():
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ConfigError(f"data file {path!s}: value {token!r} is not a number") from None
     return sufficient_stats(values)
 
 

@@ -3,9 +3,12 @@
 Observation i is normal around a latent mean theta_i with known variance V;
 the theta_i share a normal population law N(mu, A) with flat prior on mu and
 an inverse-gamma(a, b) prior on A.  The deterministic-scan Gibbs sweep
-updates mu, then every theta_i, then A.
+updates mu, then every theta_i, then A, and reads the state only through
+the latent mean theta_bar and A, so a :class:`ChainState` is that pair.
+The sweep is sampled elsewhere: on the summary state by ``_marginal``, and
+with every latent coordinate drawn by the oracle in ``acceptance``.
 
-This module owns the data handling, the Gibbs kernel, the energy function
+This module owns the data handling, the chain state, the energy function
 
     f(x) = n*(theta_bar - y_bar)^2 + n*((delta/(n-1) - V) - A)^2,
 
@@ -46,7 +49,6 @@ __all__ = [
     "sufficient_stats",
     "check_data_assumption",
     "initial_state",
-    "make_state",
     "drift_value",
     "drift_value_summary",
     "lambda_factor",
@@ -54,7 +56,6 @@ __all__ = [
     "default_large_set",
     "default_small_set_level",
     "in_large_set",
-    "gibbs_step",
     "conditional_S_moments",
     "expected_drift",
     "drift_offset_b",
@@ -141,41 +142,18 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ChainState:
-    """One chain state (mu, A, theta vector) with cached summaries.
+    """One chain state by its two summaries: the latent mean ``theta_bar``
+    and the population variance ``A``, the only coordinates the Gibbs sweep
+    reads."""
 
-    ``theta_bar`` is the mean of theta and ``S`` the sample variance
-    sum_i (theta_i - theta_bar)^2 / (n-1).  The Gibbs kernel touches the
-    state only through (theta_bar, A); theta is carried for full-state
-    operations such as the per-coordinate updates.
-    """
-
-    mu: float
-    A: float
-    theta: np.ndarray
     theta_bar: float
-    S: float
+    A: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _frozen(self.theta))
+        if not math.isfinite(self.theta_bar):
+            raise ModelError(f"theta_bar must be finite, got {self.theta_bar!r}")
         if not (self.A > 0.0 and math.isfinite(self.A)):
             raise ModelError(f"A must be positive and finite, got {self.A!r}")
-        n = self.theta.size
-        if n < 2:
-            raise ModelError("theta must have length >= 2")
-        tb = math.fsum(self.theta.tolist()) / n
-        s = math.fsum((t - tb) ** 2 for t in self.theta.tolist()) / (n - 1)
-        if abs(tb - self.theta_bar) > _REL_TOL * max(1.0, abs(tb)):
-            raise ModelError(f"cached theta_bar={self.theta_bar!r} inconsistent (got {tb!r})")
-        if abs(s - self.S) > _REL_TOL * max(1.0, s):
-            raise ModelError(f"cached S={self.S!r} inconsistent (got {s!r})")
-
-
-def make_state(mu: float, A: float, theta: Sequence[float] | np.ndarray) -> ChainState:
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    tb = math.fsum(theta.tolist()) / n
-    s = math.fsum((t - tb) ** 2 for t in theta.tolist()) / (n - 1)
-    return ChainState(mu=float(mu), A=float(A), theta=theta, theta_bar=tb, S=s)
 
 
 @dataclass(frozen=True)
@@ -289,15 +267,13 @@ def data_center(ds: Dataset, cfg: ModelConfig) -> float:
 
 
 def initial_state(ds: Dataset, cfg: ModelConfig) -> ChainState:
-    """Canonical start: theta pinned at y_bar (so theta_bar = y_bar exactly),
-    A at the centered dispersion (falling back to the raw dispersion when the
-    margin fails), mu = 0 since the first sweep overwrites it."""
+    """Canonical start: theta_bar = y_bar, and A at the centered dispersion
+    (falling back to the raw dispersion when the margin fails)."""
     c = data_center(ds, cfg)
     a0 = c if c > 0.0 else ds.delta / (ds.n - 1)
     if a0 <= 0.0:
         raise ModelError("degenerate sample: zero dispersion leaves no valid starting A")
-    theta = np.full(ds.n, ds.y_bar)
-    return ChainState(mu=0.0, A=a0, theta=theta, theta_bar=ds.y_bar, S=0.0)
+    return ChainState(theta_bar=ds.y_bar, A=a0)
 
 
 def synth_dataset(
@@ -387,48 +363,6 @@ def default_small_set_level(b: float, lam_t: float) -> float:
 def in_large_set(x: ChainState, spec: LargeSetSpec) -> bool:
     """Whether the state's A lies in the band (:meth:`LargeSetSpec.contains`)."""
     return bool(spec.contains(x.A))
-
-
-# ---------------------------------------------------------------------------
-# Gibbs kernel
-# ---------------------------------------------------------------------------
-
-
-def gibbs_step(
-    x: ChainState,
-    ds: Dataset,
-    cfg: ModelConfig,
-    stream: RngStream,
-    band: LargeSetSpec | None = None,
-) -> ChainState:
-    """One full sweep: mu, then each theta_i, then A.
-
-    Draw layout per sweep (fixed for reproducibility): one standard normal
-    for mu, n standard normals for theta, one standard gamma for A.
-
-    With ``band`` this is the per-sub-step rejection kernel on the band: the
-    mu and theta stages cannot leave a band that constrains A alone, so they
-    always go through, and an A proposal outside the band is dropped and the
-    previous A kept.  Under shared randomness it emits exactly the
-    unrestricted sweep whenever the proposal stays inside.
-    """
-    if band is not None and not in_large_set(x, band):
-        raise ModelError("state outside the retained band")
-    g = stream.generator
-    n, V = ds.n, cfg.V
-    mu1 = x.theta_bar + math.sqrt(x.A / n) * g.standard_normal()
-    w = V / (V + x.A)
-    means = mu1 * w + ds.y * (1.0 - w)
-    sd = math.sqrt(x.A * V / (V + x.A))
-    theta1 = means + sd * g.standard_normal(n)
-    tb1 = float(theta1.mean())
-    s1 = float(((theta1 - tb1) ** 2).sum()) / (n - 1)
-    beta = cfg.prior_scale_b + 0.5 * (n - 1) * s1
-    a1 = cfg.prior_shape_a + 0.5 * (n - 1)
-    A1 = beta / g.standard_gamma(a1)
-    if band is not None and not band.contains(A1):
-        A1 = x.A
-    return make_state(mu1, A1, theta1)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,11 @@ __all__ = [
     "run_reference_chain",
     "run_restricted_chain",
     "run_trace_chain",
-    "tv_lower_bound_estimate",
     "tv_from_counts",
     "split_half_tv",
     "hitting_time_stats",
     "DATA_STREAM",
     "REFERENCE_STREAM",
-    "ORACLE_STREAM",
     "ENSEMBLE_STREAM_BASE",
     "PAIR_STREAM_BASE",
 ]
@@ -61,7 +59,6 @@ __all__ = [
 # Fixed stream-index allocation under one master seed.
 DATA_STREAM = 0
 REFERENCE_STREAM = 1
-ORACLE_STREAM = 2
 ENSEMBLE_STREAM_BASE = 1_000_000
 PAIR_STREAM_BASE = 3_000_000
 
@@ -152,13 +149,10 @@ class BinGrid:
 class EnsembleSummary:
     """Per-step aggregates plus stride-sampled state records for an ensemble."""
 
-    plan: SimulationPlan
-    steps: np.ndarray
     mean_f: np.ndarray
     se_f: np.ndarray
     in_band_fraction: np.ndarray | None
     hist_counts: np.ndarray | None
-    bins: BinGrid | None
     recorded_steps: tuple[int, ...]
     recorded_theta_bar: np.ndarray | None
     recorded_A: np.ndarray | None
@@ -245,13 +239,10 @@ def run_ensemble(
     var_f = np.maximum(total_f_sq / n_chains - mean_f**2, 0.0)
     se_f = np.sqrt(var_f / n_chains)
     return EnsembleSummary(
-        plan=plan,
-        steps=np.arange(1, n_steps + 1),
         mean_f=mean_f,
         se_f=se_f,
         in_band_fraction=(band_counts / n_chains) if large_set is not None else None,
         hist_counts=hist,
-        bins=bins,
         recorded_steps=rec_steps,
         recorded_theta_bar=rec_tb,
         recorded_A=rec_a,
@@ -341,21 +332,13 @@ def run_trace_chain(
 # ---------------------------------------------------------------------------
 
 
-def _as_pairs(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple) and len(samples) == 2:
-        tb, a = np.asarray(samples[0], dtype=float), np.asarray(samples[1], dtype=float)
-    else:
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise SimulationError("samples must be (theta_bar, A) arrays or an (N,2) array")
-        tb, a = arr[:, 0], arr[:, 1]
-    if tb.size == 0:
-        raise SimulationError("empty sample set")
-    return tb, a
-
-
 def tv_from_counts(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
-    """Half L1 distance between two binned empirical measures."""
+    """Half L1 distance between two binned empirical measures.
+
+    Binning is a measurable map, so the binned distance between two state
+    samples can only fall below the true total-variation distance between
+    their laws (up to sampling noise in the empirical measures).
+    """
     na = counts_a.sum()
     nb = counts_b.sum()
     if na == 0 or nb == 0:
@@ -368,18 +351,6 @@ def split_half_tv(bins: BinGrid, tb: np.ndarray, a: np.ndarray) -> float:
     samples, the sampling-noise floor of a reference chain."""
     half = tb.size // 2
     return tv_from_counts(bins.counts(tb[:half], a[:half]), bins.counts(tb[half:], a[half:]))
-
-
-def tv_lower_bound_estimate(samples_a, samples_b, bins: BinGrid) -> float:
-    """Binned empirical total-variation distance between two state samples.
-
-    Binning is a measurable map, so the binned distance can only fall below
-    the true total-variation distance between the underlying laws (up to
-    sampling noise in the empirical measures).
-    """
-    tb_a, a_a = _as_pairs(samples_a)
-    tb_b, a_b = _as_pairs(samples_b)
-    return tv_from_counts(bins.counts(tb_a, a_a), bins.counts(tb_b, a_b))
 
 
 # ---------------------------------------------------------------------------

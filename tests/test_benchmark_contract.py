@@ -8,9 +8,22 @@ the benchmark's own output checks would reject fails here.
 
 import importlib.util
 import inspect
+import math
+import threading
 from pathlib import Path
 
-from driftbound import _marginal, cli, numerics, simulation
+import numpy as np
+
+from driftbound import (
+    _marginal,
+    acceptance,
+    bound_core,
+    cli,
+    hier_model,
+    minorization,
+    numerics,
+    simulation,
+)
 
 ANY = object()
 
@@ -51,9 +64,9 @@ def test_sweep_n_reaches_the_certificate_through_cli(tmp_path, monkeypatch):
     assert seen == [100]
 
 
-def _perfbench_checks():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+def _perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -62,7 +75,7 @@ def _perfbench_checks():
 def test_certify_sweep_passes_the_benchmark_checks(tmp_path):
     # the certify workload runs this sweep on the default configuration and
     # rejects the pass when perfbench/checks.py finds a problem in its rows
-    checks = _perfbench_checks()
+    checks = _perfbench("checks")
     n_list = [100, 6400]
     assert cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(tmp_path)]) == 0
     rows = checks.parse_sweep_csv((tmp_path / "sweep_n.csv").read_text(encoding="utf-8"))
@@ -71,3 +84,37 @@ def test_certify_sweep_passes_the_benchmark_checks(tmp_path):
     assert cfg.large_set_T is None  # so T takes its default, min(delta, center/2)
     T = min(cfg.model.delta_margin, center / 2.0)
     assert checks.check_sweep(rows, n_list, cfg.model.V, T, center) == []
+
+
+def test_initial_state_carries_what_the_workloads_read():
+    # perfbench/workloads.py passes .theta_bar and .A of the start state to
+    # expected_drift and the state itself as x0 to run_ensemble
+    cfg = cli.load_config(None, {})
+    ds = cfg.resolve_dataset()
+    x0 = hier_model.initial_state(ds, cfg.model)
+    assert type(x0.theta_bar) is float and type(x0.A) is float
+    assert math.isfinite(hier_model.expected_drift(x0.theta_bar, x0.A, ds, cfg.model))
+    plan = simulation.SimulationPlan(n_chains=2, n_steps=1)
+    summary = simulation.run_ensemble(plan, ds, cfg.model, x0, threads=1)
+    assert np.all(np.isfinite(summary.mean_f))
+
+
+def test_criterion_1_calls_public_functions_from_the_main_thread_only():
+    # the tracer keeps one span stack for the process, so a public function
+    # called from one of criterion 1's worker threads would corrupt it
+    tracing = _perfbench("tracing")
+    calls = []
+
+    class ThreadRecorder(tracing.Tracer):
+        def _hook_for(self, name):
+            def hook(fn, args, kwargs):
+                calls.append((name, threading.current_thread()))
+                return args, kwargs
+            return hook
+
+    modules = [numerics, bound_core, hier_model, minorization, _marginal, simulation, cli,
+               acceptance]
+    with ThreadRecorder(modules):
+        acceptance._criterion_1_abs_z(20_000, 2)
+    assert {"hier_model.expected_drift", "numerics.RngStream"} <= {name for name, _ in calls}
+    assert [name for name, thread in calls if thread is not threading.main_thread()] == []

@@ -81,6 +81,22 @@ def test_observation_file_formats(tmp_path):
         load_observations(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize("name, text, token", [
+    ("data.txt", "1.0\nabc\n2.5\n", "'abc'"),
+    ("data.json", '[1.0, "x", 2.5]', "'x'"),
+    ("data.json", "[1.0, -1.0, 2.", "not valid JSON"),
+])
+def test_malformed_observation_file_is_a_config_error(tmp_path, capsys, name, text, token):
+    data = tmp_path / name
+    data.write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, small_config(data={"file": str(data)}))
+    rc = cli.main(["bound-curve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(data) in err and token in err
+
+
 # ---------------------------------------------------------------------------
 # synth-data
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from driftbound.acceptance import _gibbs_sweeps
 from driftbound.hier_model import (
     BoundConstants,
     ChainState,
@@ -25,12 +26,10 @@ from driftbound.hier_model import (
     expected_drift,
     expected_inv_A,
     extended_bound_general_start,
-    gibbs_step,
     in_large_set,
     initial_state,
     lambda_T,
     lambda_factor,
-    make_state,
     sufficient_stats,
     synth_dataset,
 )
@@ -110,11 +109,9 @@ def test_initial_state_lies_in_any_valid_band():
         assert in_large_set(x0, LargeSetSpec(T=t, center=c))
 
 
-def test_make_state_validation():
+def test_chain_state_validation():
     with pytest.raises(ModelError):
-        make_state(0.0, -1.0, [0.0, 1.0])
-    with pytest.raises(ModelError):
-        ChainState(mu=0.0, A=1.0, theta=np.array([0.0, 1.0]), theta_bar=0.2, S=0.5)
+        ChainState(theta_bar=0.0, A=-1.0)
 
 
 def test_synth_dataset_deterministic_and_scaled():
@@ -169,7 +166,7 @@ def test_band_membership_boundaries():
     ds = classic_data()
 
     def state_with_a(a):
-        return make_state(0.0, a, np.full(ds.n, ds.y_bar))
+        return ChainState(theta_bar=ds.y_bar, A=a)
 
     assert in_large_set(state_with_a(1.0), spec)
     assert in_large_set(state_with_a(2.0), spec)
@@ -182,7 +179,7 @@ def test_band_membership_is_the_chains_interval_rule():
     spec = LargeSetSpec(T=1.0376289339251905, center=2.5612608596293565)
     ds = classic_data()
     for a in (spec.a_low, spec.a_high):
-        assert in_large_set(make_state(0.0, a, np.full(ds.n, ds.y_bar)), spec)
+        assert in_large_set(ChainState(theta_bar=ds.y_bar, A=a), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +187,13 @@ def test_band_membership_is_the_chains_interval_rule():
 # ---------------------------------------------------------------------------
 
 
-def test_gibbs_step_conditional_moment_formulas():
+def test_gibbs_sweeps_conditional_moment_formulas():
     # one-coordinate conditional mean/variance: ((mu*V + y*A)/(V+A), AV/(V+A))
     assert (0.0 * 1.0 + 2.0 * 1.0) / 2.0 == 1.0
     ds = classic_data(n=50)
     x0 = initial_state(ds, CLASSIC)
-    stream = RngStream(17, 0)
     n_rep = 20_000
-    mus = np.empty(n_rep)
-    a_next = np.empty(n_rep)
-    for i in range(n_rep):
-        x1 = gibbs_step(x0, ds, CLASSIC, stream)
-        mus[i] = x1.mu
-        a_next[i] = x1.A
+    mus, _, _, a_next = _gibbs_sweeps(x0.theta_bar, x0.A, ds, CLASSIC, n_rep, RngStream(17, 0))
     se = mus.std() / math.sqrt(n_rep)
     assert abs(mus.mean() - x0.theta_bar) <= 4.0 * se
     var_target = x0.A / ds.n
@@ -219,21 +210,6 @@ def test_inverse_gamma_mean_example():
     assert (2.0 + 2.0) / (3.0 + 2.0 - 1.0) == 1.0
 
 
-def test_kernel_sees_only_summary_coordinates():
-    # two states with equal (theta_bar, A) but different latent vectors
-    # produce identical sweeps under shared randomness
-    ds = classic_data(n=6)
-    theta_a = np.array([1.0, -1.0, 0.5, -0.5, 0.25, -0.25])
-    theta_b = np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
-    xa = make_state(0.3, 1.7, theta_a)
-    xb = make_state(-4.0, 1.7, theta_b)
-    assert xa.theta_bar == xb.theta_bar == 0.0
-    ya = gibbs_step(xa, ds, CLASSIC, RngStream(77, 0))
-    yb = gibbs_step(xb, ds, CLASSIC, RngStream(77, 0))
-    assert ya.mu == yb.mu and ya.A == yb.A
-    assert np.array_equal(ya.theta, yb.theta)
-
-
 def test_leaving_band_raises_energy_component():
     # any A produced outside the band has, by construction, a larger
     # centered-A energy term than any in-band value
@@ -241,15 +217,17 @@ def test_leaving_band_raises_energy_component():
     spec = default_large_set(ds, CLASSIC)
     c = spec.center
     stream = RngStream(79, 0)
-    x = initial_state(ds, CLASSIC)
+    x0 = initial_state(ds, CLASSIC)
+    tb, a = x0.theta_bar, x0.A
     worst_inside = (c - spec.T) ** 2
     seen_exit = 0
     for _ in range(4000):
-        x = gibbs_step(x, ds, CLASSIC, stream)
-        if not in_large_set(x, spec):
-            assert (c - x.A) ** 2 > worst_inside
+        _, tb1, _, a1 = _gibbs_sweeps(tb, a, ds, CLASSIC, 1, stream)
+        tb, a = float(tb1[0]), float(a1[0])
+        if not spec.contains(a):
+            assert (c - a) ** 2 > worst_inside
             seen_exit += 1
-            x = initial_state(ds, CLASSIC)
+            tb, a = x0.theta_bar, x0.A
     assert seen_exit > 0
 
 
@@ -699,14 +677,14 @@ def test_extended_bound_monotone_in_start_energy(tight_report):
     c = report.constants.center
     vals = []
     for offset in (0.0, 0.005, 0.01):
-        x0 = make_state(0.0, c - offset, np.full(ds.n, ds.y_bar))
+        x0 = ChainState(theta_bar=ds.y_bar, A=c - offset)
         vals.append(extended_bound_general_start(x0, ds, TIGHT, 10, report))
     assert vals[0] <= vals[1] <= vals[2]
 
 
 def test_extended_bound_rejects_outside_margin_band(tight_report):
     ds, report = tight_report
-    x_out = make_state(0.0, 1e-4, np.full(ds.n, ds.y_bar))
+    x_out = ChainState(theta_bar=ds.y_bar, A=1e-4)
     with pytest.raises(ModelError, match="outside the large set"):
         extended_bound_general_start(x_out, ds, TIGHT, 3, report)
 
@@ -732,7 +710,7 @@ def test_extended_bound_log_n_steps_suffice_for_order_one_rate():
         three_term_clamped=ks, K_bar=1, N_c=1, mix_target_c=0.25, h_inv_a=10.0,
     )
     f0 = n / (2.0 * math.log(n))
-    x0 = make_state(0.0, 0.1, ds.y_bar + math.sqrt(f0 / n) * np.ones(n))
+    x0 = ChainState(theta_bar=ds.y_bar + math.sqrt(f0 / n), A=0.1)
     assert drift_value(x0, ds, TIGHT) == pytest.approx(f0, rel=1e-9)
     k = int(1.2 * math.log(n))
     val = extended_bound_general_start(x0, ds, TIGHT, k, report)

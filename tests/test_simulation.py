@@ -9,7 +9,9 @@ from scipy.stats import ks_2samp
 
 from driftbound import _marginal
 from driftbound._marginal import _BLOCK, _PROBE, _SLICE, MarginalKernel, run_summary_chain
+from driftbound.acceptance import _gibbs_sweeps
 from driftbound.hier_model import (
+    ChainState,
     LargeSetSpec,
     ModelConfig,
     ModelError,
@@ -19,10 +21,8 @@ from driftbound.hier_model import (
     drift_offset_b,
     exit_budget,
     expected_drift,
-    gibbs_step,
     initial_state,
     lambda_T,
-    make_state,
     synth_dataset,
 )
 from driftbound.numerics import RngStream, integrate
@@ -37,7 +37,7 @@ from driftbound.simulation import (
     run_reference_chain,
     run_restricted_chain,
     run_trace_chain,
-    tv_lower_bound_estimate,
+    tv_from_counts,
 )
 from driftbound.simulation import _draw_streams
 
@@ -132,23 +132,25 @@ def test_band_fraction_dominated_by_tail_budget(tight100):
 def test_restricted_step_matches_unrestricted_under_shared_randomness(tight100):
     ds, _, x0 = tight100
     wide = LargeSetSpec(T=1e-9, center=data_center(ds, TIGHT))
-    plain = gibbs_step(x0, ds, TIGHT, RngStream(41, 5))
-    restricted = gibbs_step(x0, ds, TIGHT, RngStream(41, 5), band=wide)
-    assert plain.mu == restricted.mu
-    assert np.array_equal(plain.theta, restricted.theta)
-    assert plain.A == restricted.A
+    plain = _gibbs_sweeps(x0.theta_bar, x0.A, ds, TIGHT, 1, RngStream(41, 5))
+    restricted = _gibbs_sweeps(x0.theta_bar, x0.A, ds, TIGHT, 1, RngStream(41, 5), band=wide)
+    for got, want in zip(restricted, plain):
+        assert np.array_equal(got, want)
 
 
 def test_restricted_step_keeps_a_on_rejection(tight100):
     ds, _, x0 = tight100
     c = data_center(ds, TIGHT)
     narrow = LargeSetSpec(T=c * (1.0 - 1e-9), center=c)
-    out = gibbs_step(x0, ds, TIGHT, RngStream(43, 0), band=narrow)
-    assert out.A == x0.A
-    assert not np.array_equal(out.theta, x0.theta)
+    plain = _gibbs_sweeps(x0.theta_bar, x0.A, ds, TIGHT, 1, RngStream(43, 0))
+    out = _gibbs_sweeps(x0.theta_bar, x0.A, ds, TIGHT, 1, RngStream(43, 0), band=narrow)
+    # mu', theta_bar' and S' go through; the proposal leaves the band
+    for got, want in zip(out[:3], plain[:3]):
+        assert np.array_equal(got, want)
+    assert not narrow.contains(plain[3][0])
+    assert out[3][0] == x0.A
     with pytest.raises(ModelError):
-        bad = make_state(0.0, c * 3.0, np.full(ds.n, ds.y_bar))
-        gibbs_step(bad, ds, TIGHT, RngStream(43, 1), band=narrow)
+        _gibbs_sweeps(ds.y_bar, c * 3.0, ds, TIGHT, 1, RngStream(43, 1), band=narrow)
 
 
 def test_ensemble_chain_equals_scalar_reference_chain(tight100):
@@ -305,16 +307,16 @@ def test_summary_recursion_has_the_law_of_the_full_sweep(restricted):
     # 20k full-latent sweeps, two-sample KS on theta_bar' and on A'
     ds = synth_dataset(20, 2.0, CLASSIC, RngStream(7, 0), exact_center=True)
     band = default_large_set(ds, CLASSIC) if restricted else None
-    x0 = make_state(0.0, 2.6, ds.y + 0.5)
+    x0 = ChainState(theta_bar=ds.y_bar + 0.5, A=2.6)
     kernel = MarginalKernel(ds, CLASSIC)
     n_fast, n_full = 200_000, 20_000
     z, w, gam = kernel.draw_block(RngStream(89, 0), n_fast)
     _, tb1, a1 = kernel.step_arrays(np.full(n_fast, x0.theta_bar), np.full(n_fast, x0.A),
                                     z[:, 0], z[:, 1], z[:, 2], w, gam, band=band)
-    stream = RngStream(97, 0)
-    full = [gibbs_step(x0, ds, CLASSIC, stream, band=band) for _ in range(n_full)]
-    assert ks_2samp(tb1, [x.theta_bar for x in full]).pvalue > 1e-3
-    assert ks_2samp(a1, [x.A for x in full]).pvalue > 1e-3
+    _, tb_full, _, a_full = _gibbs_sweeps(x0.theta_bar, x0.A, ds, CLASSIC, n_full,
+                                          RngStream(97, 0), band=band)
+    assert ks_2samp(tb1, tb_full).pvalue > 1e-3
+    assert ks_2samp(a1, a_full).pvalue > 1e-3
     if restricted:
         # about one proposal in seven leaves [1, 3] from A = 2.6
         assert np.mean(a1 == x0.A) > 0.1
@@ -358,13 +360,13 @@ def test_tv_identical_and_disjoint():
     g = RngStream(5, 0).generator
     pts = (g.normal(0, 1, 5_000), g.normal(0, 1, 5_000))
     bins = BinGrid.equal_mass(pts[0], pts[1], (16, 16))
-    assert tv_lower_bound_estimate(pts, pts, bins) == 0.0
+    assert tv_from_counts(bins.counts(*pts), bins.counts(*pts)) == 0.0
     shifted = (pts[0] + 100.0, pts[1] + 100.0)
     # a partition that separates the supports realizes the full distance
     separating = BinGrid(theta_cuts=np.array([50.0]), a_cuts=np.array([50.0]))
-    assert tv_lower_bound_estimate(pts, shifted, separating) == 1.0
+    assert tv_from_counts(separating.counts(*pts), separating.counts(*shifted)) == 1.0
     with pytest.raises(SimulationError):
-        tv_lower_bound_estimate((np.array([]), np.array([])), pts, bins)
+        tv_from_counts(bins.counts(np.array([]), np.array([])), bins.counts(*pts))
 
 
 def _true_tv_1d(loc1, scale1, loc2, scale2):
@@ -401,7 +403,7 @@ def test_tv_estimate_is_a_lower_bound_on_known_pairs():
         sb = (g.normal(loc2, s2, n), g.normal(5.0, 1.0, n))
         bins = BinGrid.equal_mass(np.concatenate([sa[0], sb[0]]),
                                   np.concatenate([sa[1], sb[1]]), (64, 64))
-        est = tv_lower_bound_estimate(sa, sb, bins)
+        est = tv_from_counts(bins.counts(*sa), bins.counts(*sb))
         assert est <= truth + _tv_noise_allowance(bins.n_cells, n, n)
 
 
@@ -413,7 +415,7 @@ def test_tv_frozen_shifted_normal():
     sa = (g.normal(0, 1, n), g.normal(0, 1, n))
     sb = (g.normal(1, 1, n), g.normal(0, 1, n))
     bins = BinGrid.equal_mass(sa[0], sa[1], (64, 64))
-    est = tv_lower_bound_estimate(sa, sb, bins)
+    est = tv_from_counts(bins.counts(*sa), bins.counts(*sb))
     assert est <= truth + _tv_noise_allowance(bins.n_cells, n, n)
     assert est >= truth - 0.05
 
