@@ -42,13 +42,11 @@ from .hier_model import (  # noqa: F401
     assemble_gibbs_bound,
     check_data_assumption,
     conditional_S_moments,
-    drift_value,
     expected_drift,
     expected_inv_A,
     initial_state,
     lambda_T,
     lambda_factor,
-    sufficient_stats,
 )
 from .numerics import (  # noqa: F401
     NumericsError,

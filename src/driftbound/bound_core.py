@@ -242,9 +242,8 @@ def mixing_time_certificate(
     C1: float,
     C2: float,
     C3: float,
-    gamma: float,
+    log_inv_gamma: float,
     c: float,
-    log_inv_gamma: float | None = None,
 ) -> tuple[int, int]:
     """Step and sample-size thresholds certifying distance <= c.
 
@@ -253,15 +252,11 @@ def mixing_time_certificate(
     ``K_bar = ceil[(log C1 - log(c/3)) / log(1/gamma)]`` (at least 1) and a
     sample-size threshold
     ``N_c = ceil max{1, (K_bar*3*C3/c)^2, ((K_bar+1)*sqrt(3*C3/c))^2}``
-    past which K_bar steps suffice.  ``log_inv_gamma``, when supplied,
-    replaces log(1/gamma) exactly (needed when gamma rounds to 1.0).
+    past which K_bar steps suffice.  The rate enters as log(1/gamma), which
+    stays positive where gamma itself rounds to 1.0.
     """
-    if log_inv_gamma is None:
-        if not (0.0 < gamma < 1.0):
-            raise BoundError(f"gamma must lie in (0,1), got {gamma!r}")
-        log_inv_gamma = math.log(1.0 / gamma)
-    elif not (log_inv_gamma > 0.0 and 0.0 < gamma <= 1.0):
-        raise BoundError(f"need log(1/gamma) > 0 and gamma in (0,1], got {log_inv_gamma!r}")
+    if not log_inv_gamma > 0.0:
+        raise BoundError(f"log(1/gamma) must be positive, got {log_inv_gamma!r}")
     if not (C1 > 0.0 and C2 > 0.0 and C3 > 0.0):
         raise BoundError("C1, C2, C3 must be positive")
     if not (0.0 < c < 1.0):

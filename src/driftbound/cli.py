@@ -47,8 +47,8 @@ from .hier_model import (
     data_center,
     default_large_set,
     drift_value_summary,
+    expected_inv_A,
     initial_state,
-    sufficient_stats,
     synth_dataset,
 )
 from .minorization import MinorizationError
@@ -255,14 +255,14 @@ def load_observations(path: Path) -> Dataset:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"data file {path!s}: entry {v!r} is not a number")
-        return sufficient_stats([float(v) for v in values])
+        return Dataset([float(v) for v in values])
     values = []
     for token in text.split():
         try:
             values.append(float(token))
         except ValueError:
             raise ConfigError(f"data file {path!s}: value {token!r} is not a number") from None
-    return sufficient_stats(values)
+    return Dataset(values)
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +375,21 @@ def cmd_bound_curve(cfg: ExperimentConfig, out_dir: Path) -> int:
     write_csv(csv_path, ["k", "term1", "term2", "tail", "total", "clamped_total"], rows)
 
     report_path = out_dir / "bound_report.json"
-    report_path.write_text(_report_json(report), encoding="utf-8")
+    report_path.write_text(_report_json(report, expected_inv_A(ds, cfg.model)),
+                           encoding="utf-8")
     RunManifest.write(out_dir, "bound-curve", cfg, started, [csv_path, report_path])
     print(f"wrote {csv_path} and {report_path} (K_bar={report.K_bar}, N_c={report.N_c})")
     return _EXIT_OK
 
 
-def _report_json(report: GibbsBoundReport) -> str:
+def _report_json(report: GibbsBoundReport, posterior_mean_inv_a: float) -> str:
     doc = {
         "n": report.n,
         "constants": asdict(report.constants),
         "K_bar": report.K_bar,
         "N_c": report.N_c,
         "mix_target_c": report.mix_target_c,
-        "posterior_mean_inv_A": report.h_inv_a,
+        "posterior_mean_inv_A": posterior_mean_inv_a,
         "k": [int(k) for k in report.k_values],
         "certificate_raw": list(map(float, report.certificate_raw)),
         "certificate_clamped": list(map(float, report.certificate_clamped)),

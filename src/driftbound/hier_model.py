@@ -15,15 +15,15 @@ This module owns the data handling, the chain state, the energy function
 its exact one-step conditional expectation (composed from closed-form
 conditional moments, no sampling), the contraction factor and its threshold
 version on the retained A-band, the closed-form drift offset, the
-certificate's exit budget, the posterior functional E[1/A], and the
-end-to-end certificate assembly.
+certificate's exit budget, the end-to-end certificate assembly, and the
+posterior functional E[1/A], which no certificate constant uses: only
+``bound-curve``'s report and acceptance criterion 6 compute it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -46,16 +46,13 @@ __all__ = [
     "LargeSetSpec",
     "BoundConstants",
     "GibbsBoundReport",
-    "sufficient_stats",
     "check_data_assumption",
     "initial_state",
-    "drift_value",
     "drift_value_summary",
     "lambda_factor",
     "lambda_T",
     "default_large_set",
     "default_small_set_level",
-    "in_large_set",
     "conditional_S_moments",
     "expected_drift",
     "drift_offset_b",
@@ -94,33 +91,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations with cached sufficient statistics.
-
-    ``y_bar`` is the sample mean and ``delta`` the centered sum of squares
-    sum_i (y_i - y_bar)^2; both must be consistent with ``y`` to 1e-12
-    relative error.  Build instances through :func:`sufficient_stats`.
+    """Observations ``y`` and the three numbers the model reads from them:
+    the size ``n``, the sample mean ``y_bar`` and the centered sum of
+    squares ``delta`` = sum_i (y_i - y_bar)^2, derived once from ``y`` with
+    exactly accumulated sums.  ``Dataset(y)`` is the only constructor.
     """
 
     y: np.ndarray
-    n: int
-    y_bar: float
-    delta: float
+    n: int = field(init=False)
+    y_bar: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _frozen(self.y))
-        if self.n < 2 or self.y.shape != (self.n,):
-            raise ModelError(f"need at least two observations, got n={self.n!r}")
-        if not np.all(np.isfinite(self.y)):
+        arr = _frozen(self.y)
+        if arr.ndim != 1 or arr.size < 2:
+            raise ModelError(f"need a 1-D sample with n >= 2, got shape {arr.shape!r}")
+        if not np.all(np.isfinite(arr)):
             raise ModelError("observations must be finite")
-        mean = math.fsum(self.y.tolist()) / self.n
-        delta = math.fsum((yi - mean) ** 2 for yi in self.y.tolist())
-        scale = max(1.0, abs(mean))
-        if abs(mean - self.y_bar) > _REL_TOL * scale:
-            raise ModelError(f"cached y_bar={self.y_bar!r} inconsistent with data (got {mean!r})")
-        if abs(delta - self.delta) > _REL_TOL * max(1.0, delta):
-            raise ModelError(f"cached delta={self.delta!r} inconsistent with data (got {delta!r})")
-        if self.delta < 0.0:
-            raise ModelError("delta must be >= 0")
+        n = int(arr.size)
+        mean = math.fsum(arr.tolist()) / n
+        object.__setattr__(self, "y", arr)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "y_bar", mean)
+        object.__setattr__(self, "delta", math.fsum((v - mean) ** 2 for v in arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,9 @@ class GibbsBoundReport:
 
     ``certificate_raw`` is the coupling-form bound (not clamped);
     ``term_geometric``/``term_quadratic``/``term_sqrt`` are the three-term
-    curve C1*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) split by term.
+    curve C1*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) split by term.  The
+    posterior functional E[1/A] is no part of a certificate: ``bound-curve``
+    computes it with :func:`expected_inv_A` for its report alone.
     """
 
     n: int
@@ -229,7 +224,6 @@ class GibbsBoundReport:
     K_bar: int
     N_c: int
     mix_target_c: float
-    h_inv_a: float
 
     def __post_init__(self):
         for name in ("k_values", "certificate_raw", "certificate_clamped",
@@ -241,19 +235,6 @@ class GibbsBoundReport:
 # ---------------------------------------------------------------------------
 # data handling
 # ---------------------------------------------------------------------------
-
-
-def sufficient_stats(y: Sequence[float] | np.ndarray) -> Dataset:
-    """Dataset with exactly accumulated mean and centered sum of squares."""
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ModelError(f"need a 1-D sample with n >= 2, got shape {arr.shape!r}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError("observations must be finite")
-    n = int(arr.size)
-    mean = math.fsum(arr.tolist()) / n
-    delta = math.fsum((v - mean) ** 2 for v in arr.tolist())
-    return Dataset(y=arr, n=n, y_bar=mean, delta=delta)
 
 
 def check_data_assumption(ds: Dataset, cfg: ModelConfig) -> bool:
@@ -303,16 +284,12 @@ def synth_dataset(
         if spread <= 0.0:
             raise ModelError("degenerate synthetic draw cannot be rescaled")
         y = mean + (y - mean) * math.sqrt((center + cfg.V) * (n - 1) / spread)
-    return sufficient_stats(y)
+    return Dataset(y)
 
 
 # ---------------------------------------------------------------------------
 # energy function and contraction factor
 # ---------------------------------------------------------------------------
-
-
-def drift_value(x: ChainState, ds: Dataset, cfg: ModelConfig) -> float:
-    return drift_value_summary(x.theta_bar, x.A, ds, cfg)
 
 
 def drift_value_summary(theta_bar, A, ds: Dataset, cfg: ModelConfig):
@@ -339,8 +316,6 @@ def lambda_factor(A, V: float):
 
 def lambda_T(spec: LargeSetSpec, V: float) -> float:
     """Contraction threshold on the retained band: lambda_factor at A = T."""
-    if spec.T <= 0.0:
-        raise ModelError("T must be positive")
     out = float(lambda_factor(spec.T, V))
     if not out < 1.0:
         raise ModelError("threshold contraction factor must be < 1")
@@ -358,11 +333,6 @@ def default_large_set(ds: Dataset, cfg: ModelConfig) -> LargeSetSpec:
 def default_small_set_level(b: float, lam_t: float) -> float:
     """Small-set level 2.5*b/(1-lambda_T), a quarter above the required floor."""
     return 2.5 * b / (1.0 - lam_t)
-
-
-def in_large_set(x: ChainState, spec: LargeSetSpec) -> bool:
-    """Whether the state's A lies in the band (:meth:`LargeSetSpec.contains`)."""
-    return bool(spec.contains(x.A))
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +611,7 @@ def assemble_gibbs_bound(
     term_sqrt = c3 * ks / math.sqrt(ds.n)
     three_term_total = term_geo + term_quad + term_sqrt
 
-    k_bar, n_c = mixing_time_certificate(
-        c1, c2, c3, dc.gamma, mix_target_c, log_inv_gamma=dc.log_inv_gamma
-    )
-    h = expected_inv_A(ds, cfg)
+    k_bar, n_c = mixing_time_certificate(c1, c2, c3, dc.log_inv_gamma, mix_target_c)
 
     constants = BoundConstants(
         lambda_T=lam_t, b_drift=b, d_small=d, T=spec.T, center=c,
@@ -667,7 +634,6 @@ def assemble_gibbs_bound(
         K_bar=k_bar,
         N_c=n_c,
         mix_target_c=mix_target_c,
-        h_inv_a=h,
     )
 
 
@@ -690,9 +656,9 @@ def extended_bound_general_start(
         raise ModelError("k must be >= 0")
     c = report.constants.center
     margin_band = LargeSetSpec(T=min(cfg.delta_margin, c * (1.0 - 1e-12)), center=c)
-    if not in_large_set(x0, margin_band):
+    if not margin_band.contains(x0.A):
         raise ModelError("no bound available outside the large set")
-    f0 = drift_value(x0, ds, cfg)
+    f0 = drift_value_summary(x0.theta_bar, x0.A, ds, cfg)
     bc = report.constants
     geo = (bc.C1 + f0) * math.exp(-bc.log_inv_gamma * k)
     return geo + bc.C2 * k * (1.0 + k) / ds.n + bc.C3 * k / math.sqrt(ds.n) + bc.C4 * f0 * k / ds.n

@@ -32,7 +32,6 @@ from .hier_model import (
     LargeSetSpec,
     ModelConfig,
     drift_value_summary,
-    in_large_set,
     initial_state,
 )
 from .numerics import RngStream
@@ -282,7 +281,7 @@ def run_restricted_chain(
     from the canonical start; returns the ``n_steps`` samples after
     ``burn_in``."""
     x = initial_state(ds, cfg)
-    if not in_large_set(x, spec):
+    if not spec.contains(x.A):
         raise SimulationError("start state lies outside the retained band")
     tb, a = run_summary_chain(MarginalKernel(ds, cfg), (x.theta_bar, x.A), burn_in + n_steps,
                               stream, band=spec)
@@ -388,18 +387,6 @@ class HittingStats:
         self._check_j(j)
         return float((self.t_matrix[:, j - 1] < 0).mean())
 
-    def counts_before(self, k: int) -> np.ndarray:
-        """N_k per pair: number of recorded joint returns strictly before k."""
-        t = self.t_matrix
-        return ((t >= 0) & (t < k)).sum(axis=1)
-
-    def gaps(self, pair: int) -> np.ndarray:
-        """Return-time gaps r_i = t_i - t_{i-1} (t_0 = -1) for one pair,
-        up to the last uncensored return; every gap is >= 1."""
-        t = self.t_matrix[pair]
-        t = t[t >= 0]
-        return np.diff(np.concatenate(([-1], t)))
-
     def pr_counts_below(self, j: int, k: int) -> tuple[float, float]:
         """Empirical P(N_k < j) with binomial standard error."""
         self._check_j(j)
@@ -461,7 +448,7 @@ def hitting_time_stats(
     if n_pairs < 1 or n_steps < 1:
         raise SimulationError("n_pairs and n_steps must be >= 1")
     start = initial_state(ds, cfg)
-    if not in_large_set(start, spec):
+    if not spec.contains(start.A):
         raise SimulationError("start state lies outside the retained band")
     kernel = MarginalKernel(ds, cfg)
     t_matrix = np.full((n_pairs, _J_MAX), -1, dtype=np.int64)

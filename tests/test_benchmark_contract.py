@@ -99,6 +99,14 @@ def test_initial_state_carries_what_the_workloads_read():
     assert np.all(np.isfinite(summary.mean_f))
 
 
+def test_dataset_carries_what_the_workloads_read():
+    # perfbench/workloads.py passes .n and .delta of the configured dataset
+    # to its posterior check, and keys certificates by .n
+    ds = cli.load_config(None, {}).resolve_dataset()
+    assert type(ds.n) is int
+    assert type(ds.delta) is float and type(ds.y_bar) is float
+
+
 def test_criterion_1_calls_public_functions_from_the_main_thread_only():
     # the tracer keeps one span stack for the process, so a public function
     # called from one of criterion 1's worker threads would corrupt it

@@ -238,26 +238,27 @@ def test_evaluate_bound_k_validation():
 
 def test_mixing_certificate_frozen():
     # frozen: ceil(6.80239.../0.0615105...) = 111
-    k_bar, n_c = mixing_time_certificate(3.0, 1.0, 1.0, 0.94035, 0.01)
+    k_bar, n_c = mixing_time_certificate(3.0, 1.0, 1.0, math.log(1.0 / 0.94035), 0.01)
     assert k_bar == 111
     assert n_c == math.ceil(max(1.0, (111 * 3.0 / 0.01) ** 2,
                                 (112 * math.sqrt(3.0 / 0.01)) ** 2))
 
 
 def test_mixing_certificate_small_target_gap():
-    k_bar, _ = mixing_time_certificate(0.5, 1.0, 1.0, 0.5, 0.6)
+    k_bar, _ = mixing_time_certificate(0.5, 1.0, 1.0, math.log(1.0 / 0.5), 0.6)
     assert k_bar >= 1
 
 
 def test_mixing_certificate_diverges_as_gamma_tends_to_one():
-    k_small, _ = mixing_time_certificate(3.0, 1.0, 1.0, 0.9, 0.1)
-    k_big, _ = mixing_time_certificate(3.0, 1.0, 1.0, 1.0 - 1e-9, 0.1)
+    k_small, _ = mixing_time_certificate(3.0, 1.0, 1.0, math.log(1.0 / 0.9), 0.1)
+    k_big, _ = mixing_time_certificate(3.0, 1.0, 1.0, math.log(1.0 / (1.0 - 1e-9)), 0.1)
     assert k_big > 1e8 * k_small
-    with pytest.raises(BoundError):
-        mixing_time_certificate(3.0, 1.0, 1.0, 1.0, 0.1)
 
 
 def test_mixing_certificate_log_rate_path():
-    k_bar, n_c = mixing_time_certificate(3.0, 1.0, 1.0, 1.0, 0.25,
-                                         log_inv_gamma=1e-12)
+    # gamma = 1 leaves no rate; a log rate of 1e-12, where gamma rounds to
+    # 1.0, still certifies
+    with pytest.raises(BoundError):
+        mixing_time_certificate(3.0, 1.0, 1.0, math.log(1.0 / 1.0), 0.25)
+    k_bar, n_c = mixing_time_certificate(3.0, 1.0, 1.0, 1e-12, 0.25)
     assert k_bar > 1e12 and n_c > k_bar

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftbound import cli
+from driftbound import cli, hier_model
 from driftbound.cli import ConfigError, ExperimentConfig, load_observations
 from driftbound.hier_model import drift_value_summary
 
@@ -181,6 +181,37 @@ def test_bound_report_key_set(curve_run):
     }
 
 
+def test_bound_curve_computes_posterior_functional_once_outside_the_certificate(
+        tmp_path, monkeypatch):
+    # E[1/A] is no certificate constant: bound-curve computes it once for its
+    # report, and never while the certificate is assembled
+    calls = []
+    assembling = []
+    original_h, original_assemble = hier_model.expected_inv_A, cli.assemble_gibbs_bound
+
+    def counted(*args, **kwargs):
+        calls.append(bool(assembling))
+        return original_h(*args, **kwargs)
+
+    def assemble(*args, **kwargs):
+        assembling.append(True)
+        try:
+            return original_assemble(*args, **kwargs)
+        finally:
+            assembling.pop()
+
+    monkeypatch.setattr(hier_model, "expected_inv_A", counted)
+    monkeypatch.setattr(cli, "expected_inv_A", counted)
+    monkeypatch.setattr(cli, "assemble_gibbs_bound", assemble)
+    cfg = write_config(tmp_path, small_config())
+    out = tmp_path / "curve"
+    assert cli.main(["bound-curve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [False]
+    doc = json.loads((out / "bound_report.json").read_text())
+    config = cli.load_config(cfg, {})
+    assert doc["posterior_mean_inv_A"] == original_h(config.resolve_dataset(), config.model)
+
+
 def test_manifest_digests_match(curve_run):
     _, _, out = curve_run
     manifest = json.loads((out / "manifest.json").read_text())
@@ -232,6 +263,17 @@ def test_sweep_rejects_malformed_n_list(tmp_path, capsys):
     assert rc == 1
     assert "config error: --n-list entry 'x' is not an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_does_not_compute_the_posterior_functional(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep-n computed E[1/A], which no certificate uses")
+
+    monkeypatch.setattr(hier_model, "expected_inv_A", refuse)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(out)]) == 0
+    lines = (out / "sweep_n.csv").read_text().splitlines()
+    assert len(lines) == 3 and all(line.endswith(",ok") for line in lines[1:])
 
 
 def test_sweep_ok_rows(tmp_path):

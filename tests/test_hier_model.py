@@ -20,17 +20,14 @@ from driftbound.hier_model import (
     default_large_set,
     default_small_set_level,
     drift_offset_b,
-    drift_value,
     drift_value_summary,
     exit_budget,
     expected_drift,
     expected_inv_A,
     extended_bound_general_start,
-    in_large_set,
     initial_state,
     lambda_T,
     lambda_factor,
-    sufficient_stats,
     synth_dataset,
 )
 from driftbound.hier_model import _B_ROUNDING, _log_a_kernel, _log_a_peak
@@ -54,39 +51,46 @@ def tight_data(n=100, seed=7):
 
 
 def test_sufficient_stats_examples():
-    ds = sufficient_stats([0.0, 0.0, 0.0, 0.0])
+    ds = Dataset([0.0, 0.0, 0.0, 0.0])
     assert ds.y_bar == 0.0 and ds.delta == 0.0
-    ds = sufficient_stats([1.0, -1.0])
+    ds = Dataset([1.0, -1.0])
     assert ds.y_bar == 0.0 and ds.delta == 2.0
 
 
 def test_sufficient_stats_sampling_check():
     y = RngStream(3, 0).generator.standard_normal(10_000)
-    ds = sufficient_stats(y)
+    ds = Dataset(y)
     # sample variance of a standard normal has standard error sqrt(2/(n-1))
     assert abs(ds.delta / (ds.n - 1) - 1.0) <= 4.0 * math.sqrt(2.0 / (ds.n - 1))
 
 
 def test_sufficient_stats_validation():
     with pytest.raises(ModelError):
-        sufficient_stats([1.0])
+        Dataset([1.0])
     with pytest.raises(ModelError):
-        sufficient_stats([1.0, math.nan])
+        Dataset([1.0, math.nan])
+    with pytest.raises(ModelError):
+        Dataset(np.zeros((2, 2)))
 
 
-def test_dataset_cache_consistency_enforced():
-    with pytest.raises(ModelError):
-        Dataset(y=np.array([1.0, -1.0]), n=2, y_bar=0.5, delta=2.0)
-    with pytest.raises(ModelError):
-        Dataset(y=np.array([1.0, -1.0]), n=2, y_bar=0.0, delta=1.0)
+def test_dataset_statistics_are_the_exact_sums():
+    # ill-conditioned: the spread is 1e-8 of the offset, so a naive sum of
+    # squares would lose most digits; y_bar and delta are the two fsum
+    # expressions, bit for bit
+    y = 1e8 + RngStream(5, 0).generator.standard_normal(1000)
+    ds = Dataset(y)
+    mean = math.fsum(y.tolist()) / y.size
+    assert ds.n == y.size
+    assert ds.y_bar == mean
+    assert ds.delta == math.fsum((v - mean) ** 2 for v in y.tolist())
 
 
 def test_data_assumption_examples():
     cfg = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
-    assert check_data_assumption(sufficient_stats([0.0, math.sqrt(6.0)]), cfg)   # 3 >= 2
-    assert not check_data_assumption(sufficient_stats([0.0, math.sqrt(3.0)]), cfg)
+    assert check_data_assumption(Dataset([0.0, math.sqrt(6.0)]), cfg)   # 3 >= 2
+    assert not check_data_assumption(Dataset([0.0, math.sqrt(3.0)]), cfg)
     # exact boundary: dispersion 2 equals V + margin = 2, kept by the weak >=
-    assert check_data_assumption(sufficient_stats([0.0, 2.0]), cfg)
+    assert check_data_assumption(Dataset([0.0, 2.0]), cfg)
 
 
 def test_initial_state_branches():
@@ -94,9 +98,9 @@ def test_initial_state_branches():
     x0 = initial_state(ds, CLASSIC)
     assert x0.A == pytest.approx(data_center(ds, CLASSIC), rel=1e-15)
     assert x0.theta_bar == ds.y_bar
-    assert drift_value(x0, ds, CLASSIC) == pytest.approx(0.0, abs=1e-20)
+    assert drift_value_summary(x0.theta_bar, x0.A, ds, CLASSIC) == pytest.approx(0.0, abs=1e-20)
     # dispersion 0.5 below V = 1 triggers the fallback branch
-    ds2 = sufficient_stats([0.0, 1.0])
+    ds2 = Dataset([0.0, 1.0])
     x0 = initial_state(ds2, CLASSIC)
     assert x0.A == pytest.approx(0.5, rel=1e-15)
 
@@ -106,7 +110,7 @@ def test_initial_state_lies_in_any_valid_band():
     x0 = initial_state(ds, CLASSIC)
     c = data_center(ds, CLASSIC)
     for t in (1e-6, 0.3, 0.9999 * c):
-        assert in_large_set(x0, LargeSetSpec(T=t, center=c))
+        assert LargeSetSpec(T=t, center=c).contains(x0.A)
 
 
 def test_chain_state_validation():
@@ -133,7 +137,7 @@ def test_synth_dataset_deterministic_and_scaled():
 
 def test_drift_value_direct_example():
     y = np.array([math.sqrt(2.0), -math.sqrt(2.0), math.sqrt(4.0), -math.sqrt(4.0)])
-    ds = sufficient_stats(y)  # n=4, y_bar=0, delta=12, dispersion 4
+    ds = Dataset(y)  # n=4, y_bar=0, delta=12, dispersion 4
     cfg = ModelConfig(V=2.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
     assert data_center(ds, cfg) == pytest.approx(2.0)
     assert drift_value_summary(1.0, 3.0, ds, cfg) == pytest.approx(8.0, rel=1e-14)
@@ -163,23 +167,17 @@ def test_lambda_threshold_examples():
 
 def test_band_membership_boundaries():
     spec = LargeSetSpec(T=1.0, center=2.0)
-    ds = classic_data()
-
-    def state_with_a(a):
-        return ChainState(theta_bar=ds.y_bar, A=a)
-
-    assert in_large_set(state_with_a(1.0), spec)
-    assert in_large_set(state_with_a(2.0), spec)
-    assert not in_large_set(state_with_a(3.0 + 1e-9), spec)
+    assert spec.contains(1.0)
+    assert spec.contains(2.0)
+    assert not spec.contains(3.0 + 1e-9)
 
 
 def test_band_membership_is_the_chains_interval_rule():
     # at A = a_high the squared-distance form (c - A)^2 <= (c - T)^2 rounds
     # to "outside" here, while every chain tests a_low <= A <= a_high
     spec = LargeSetSpec(T=1.0376289339251905, center=2.5612608596293565)
-    ds = classic_data()
     for a in (spec.a_low, spec.a_high):
-        assert in_large_set(ChainState(theta_bar=ds.y_bar, A=a), spec)
+        assert spec.contains(a)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,7 @@ def test_leaving_band_raises_energy_component():
 
 def _delta12_five_points():
     # five observations with mean zero and centered sum of squares exactly 12
-    return sufficient_stats([math.sqrt(6.0), -math.sqrt(6.0), 0.0, 0.0, 0.0])
+    return Dataset([math.sqrt(6.0), -math.sqrt(6.0), 0.0, 0.0, 0.0])
 
 
 def test_conditional_s_moments_closed_forms():
@@ -313,7 +311,7 @@ def test_expected_drift_validation():
     ds = classic_data()
     with pytest.raises(ModelError):
         expected_drift(0.0, 0.0, ds, CLASSIC)
-    tiny = sufficient_stats([0.0, 1.0, 2.0])
+    tiny = Dataset([0.0, 1.0, 2.0])
     low_shape = ModelConfig(V=1.0, prior_shape_a=1.0, prior_scale_b=1.0, delta_margin=0.1)
     with pytest.raises(ModelError, match="shape"):
         expected_drift(0.0, 1.0, tiny, low_shape)
@@ -488,7 +486,7 @@ def test_exit_budget_direct():
     #   5*sqrt(1/100)*3/1 + (1/2)*5*6/100 = 1.65
     base = np.array([1.0, -1.0] + [0.0] * 98)
     scale = math.sqrt(3.0 * 99.0 / float(((base - base.mean()) ** 2).sum()))
-    ds = sufficient_stats(base * scale)
+    ds = Dataset(base * scale)
     cfg = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
     assert ds.delta / 99.0 == pytest.approx(3.0, rel=1e-12)
     spec = LargeSetSpec(T=1.0, center=data_center(ds, cfg))
@@ -664,7 +662,7 @@ def test_assemble_order_one_scales_hits_float_rate_floor():
 def test_extended_bound_reduces_at_zero_energy(tight_report):
     ds, report = tight_report
     x0 = initial_state(ds, TIGHT)
-    assert drift_value(x0, ds, TIGHT) == 0.0
+    assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == 0.0
     for k in (1, 5, 40):
         got = extended_bound_general_start(x0, ds, TIGHT, k, report)
         expect = float(report.term_geometric[k - 1] + report.term_quadratic[k - 1]
@@ -707,11 +705,11 @@ def test_extended_bound_log_n_steps_suffice_for_order_one_rate():
     report = GibbsBoundReport(
         n=n, constants=bc, k_values=ks, certificate_raw=ks, certificate_clamped=ks,
         term_geometric=ks, term_quadratic=ks, term_sqrt=ks, three_term_total=ks,
-        three_term_clamped=ks, K_bar=1, N_c=1, mix_target_c=0.25, h_inv_a=10.0,
+        three_term_clamped=ks, K_bar=1, N_c=1, mix_target_c=0.25,
     )
     f0 = n / (2.0 * math.log(n))
     x0 = ChainState(theta_bar=ds.y_bar + math.sqrt(f0 / n), A=0.1)
-    assert drift_value(x0, ds, TIGHT) == pytest.approx(f0, rel=1e-9)
+    assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == pytest.approx(f0, rel=1e-9)
     k = int(1.2 * math.log(n))
     val = extended_bound_general_start(x0, ds, TIGHT, k, report)
     assert val < 0.25
