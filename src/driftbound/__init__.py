@@ -24,12 +24,10 @@ from .bound_core import (  # noqa: F401
     DriftParameters,
     MinorizationCertificate,
     TailSequence,
-    classic_bound,
     derive_alpha_lambda,
     derived_constants,
     evaluate_bound,
     mixing_time_certificate,
-    optimal_r,
 )
 from .hier_model import (  # noqa: F401
     BoundConstants,

@@ -32,8 +32,6 @@ from .bound_core import (
     DriftParameters,
     MinorizationCertificate,
     TailSequence,
-    classic_bound,
-    derive_alpha_lambda,
     derived_constants,
     evaluate_bound,
 )
@@ -43,7 +41,6 @@ from .hier_model import (
     assemble_gibbs_bound,
     data_center,
     default_large_set,
-    default_small_set_level,
     drift_offset_b,
     drift_value_summary,
     exit_budget,
@@ -54,11 +51,7 @@ from .hier_model import (
     lambda_factor,
     synth_dataset,
 )
-from .minorization import (
-    MinorizationError,
-    SmallSetBox,
-    build_epsilon_report,
-)
+from .minorization import SmallSetBox, overlap_oracle_mc
 from .numerics import RngStream
 from .simulation import (
     BinGrid,
@@ -507,12 +500,9 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     cfg2, center2 = _tight_model()
     ds2 = _dataset(cfg2, 50, center2)
     spec2 = default_large_set(ds2, cfg2)
-    b2 = drift_offset_b(ds2, cfg2, spec2)
-    lam2 = lambda_T(spec2, cfg2.V)
-    d2 = default_small_set_level(b2, lam2)
-    alpha2, _ = derive_alpha_lambda(DriftParameters(lam=lam2, b_drift=b2, d_small=d2))
+    bc2 = assemble_gibbs_bound(ds2, cfg2, large_set=spec2, k_max=1).constants
     n_pairs = _count(4_000, scale, floor=500)
-    stats = hitting_time_stats(n_pairs, 60, ds2, cfg2, spec2, d2, alpha2,
+    stats = hitting_time_stats(n_pairs, 60, ds2, cfg2, spec2, bc2.d_small, bc2.alpha,
                                seed=_PLAN_SEEDS["7 return times"])
     worst_gap = -math.inf
     for j in range(1, 6):
@@ -538,11 +528,12 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
-    """Balanced-rate identity to 1e-12 relative; whole-space reduction exact."""
+    """Balanced-rate identity, and the bound against its formula written with
+    plain powers, each to 1e-12 relative."""
     t0 = time.monotonic()
     rng = _stream("8 parameter sets").generator
-    worst_rel = 0.0
-    exact_matches = True
+    worst_gamma = 0.0
+    worst_direct = 0.0
     for _ in range(100):
         lam = rng.uniform(0.05, 0.95)
         b = rng.uniform(0.0, 5.0)
@@ -554,25 +545,29 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
         m = MinorizationCertificate(epsilon=eps, q_mass_lower=q)
         dc = derived_constants(p, m)
         other = math.exp(dc.r * math.log(dc.alpha * dc.Lambda) - math.log(dc.alpha))
-        worst_rel = max(worst_rel, abs(dc.gamma - other) / dc.gamma)
-        m_full = MinorizationCertificate(epsilon=eps, q_mass_lower=1.0)
-        dc_full = derived_constants(p, m_full)
+        worst_gamma = max(worst_gamma, abs(dc.gamma - other) / dc.gamma)
+        # without exit terms the bound is the two-term formula of bound_core
+        c0 = 1.0 + p.initial_drift_expectation + b / (1.0 - lam)
         for k in (1, 7, 40):
-            lhs = classic_bound(p, eps, k)
-            rhs = evaluate_bound(p, m_full, dc_full, TailSequence(), k)
-            exact_matches &= lhs == rhs
+            rk = dc.r * k
+            direct = ((1.0 - eps * q) ** rk
+                      + ((dc.alpha * dc.Lambda) ** rk * c0 - dc.alpha ** rk)
+                      / (dc.alpha ** k - dc.alpha ** rk))
+            got = evaluate_bound(p, m, dc, TailSequence(), k)
+            worst_direct = max(worst_direct, abs(got - direct) / direct)
     seconds = time.monotonic() - t0
     return CriterionResult(
         name="8 algebraic identities",
-        passed=(worst_rel <= 1e-12) and exact_matches,
-        measured={"max_gamma_rel_err": float(worst_rel), "reduction_exact": exact_matches},
-        threshold="gamma identity <= 1e-12 relative; reduction exact on 100 sets",
+        passed=(worst_gamma <= 1e-12) and (worst_direct <= 1e-12),
+        measured={"max_gamma_rel_err": float(worst_gamma),
+                  "max_direct_rel_err": float(worst_direct)},
+        threshold="gamma identity and direct bound formula <= 1e-12 relative on 100 sets",
         seconds=seconds,
     )
 
 
 def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
-    """Quadrature volume never exceeds the Monte Carlo overlap ceiling."""
+    """The certified epsilon never exceeds the Monte Carlo overlap ceiling."""
     t0 = time.monotonic()
     cfg, center = _tight_model()
     n_samples = _count(100_000, scale, floor=20_000)
@@ -580,28 +575,17 @@ def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
     passed = True
     for n in (50, 100):
         ds = _dataset(cfg, n, center)
-        spec = default_large_set(ds, cfg)
-        b = drift_offset_b(ds, cfg, spec)
-        d = default_small_set_level(b, lambda_T(spec, cfg.V))
-        box = SmallSetBox.from_level(d, ds, cfg)
-        try:
-            rep = build_epsilon_report(box, ds, cfg,
-                                       _stream(f"9 overlap n={n}"),
-                                       n_samples=n_samples)
-            measured[f"n{n}"] = {
-                "eps": float(f"{rep.epsilon_quadrature:.4e}"),
-                "overlap": round(rep.epsilon_mc_overlap, 5),
-            }
-            passed &= rep.epsilon_quadrature > 0.0
-        except MinorizationError as exc:
-            measured[f"n{n}"] = {"guard": str(exc)}
-            passed = False
+        bc = assemble_gibbs_bound(ds, cfg, k_max=1).constants
+        box = SmallSetBox.from_level(bc.d_small, ds, cfg)
+        overlap, se = overlap_oracle_mc(box, ds, cfg, _stream(f"9 overlap n={n}"), n_samples)
+        measured[f"n{n}"] = {"eps": float(f"{bc.epsilon:.4e}"), "overlap": round(overlap, 5)}
+        passed &= bc.epsilon <= overlap + 3.0 * se
     seconds = time.monotonic() - t0
     return CriterionResult(
         name="9 minorization honesty",
         passed=passed,
         measured=measured,
-        threshold="eps_quadrature in (0, overlap + 3 SE] at every configuration",
+        threshold="certified eps <= overlap + 3 SE at n = 50 and 100",
         seconds=seconds,
     )
 

@@ -36,10 +36,8 @@ __all__ = [
     "DerivedConstants",
     "TailSequence",
     "derive_alpha_lambda",
-    "optimal_r",
     "derived_constants",
     "evaluate_bound",
-    "classic_bound",
     "mixing_time_certificate",
 ]
 
@@ -149,43 +147,30 @@ def derive_alpha_lambda(p: DriftParameters) -> tuple[float, float]:
     return 1.0 / inv_alpha, lam_cap
 
 
-def optimal_r(alpha: float, Lambda: float, eps_q: float) -> tuple[float, float]:
-    """Balancing exponent r = log(alpha) / log(alpha*Lambda/(1-eps_q)).
-
-    At this r the two geometric factors coincide:
-    gamma = (1-eps_q)^r = alpha^-1 * (alpha*Lambda)^r.
-    """
-    if eps_q <= 0.0:
-        raise BoundError("no minorization mass (eps_q <= 0)")
-    if eps_q >= 1.0:
-        raise BoundError(f"eps_q must be < 1, got {eps_q!r}")
-    if not (alpha > 1.0 and Lambda >= 1.0):
-        raise BoundError(f"need alpha > 1 and Lambda >= 1, got {alpha!r}, {Lambda!r}")
-    log_alpha = math.log(alpha)
-    denom = math.log(alpha * Lambda) - math.log1p(-eps_q)
-    r = log_alpha / denom
-    gamma = math.exp(r * math.log1p(-eps_q))
-    return r, gamma
-
-
 def derived_constants(
     p: DriftParameters,
     m: MinorizationCertificate,
 ) -> DerivedConstants:
     """Assemble DerivedConstants from drift and minorization certificates.
 
-    With the balanced r, the identity
-    (1-eps*q)^r == alpha^-1 (alpha*Lambda)^r is verified to 1e-12 relative.
+    The balancing exponent r = log(alpha) / log(alpha*Lambda/(1-eps*q))
+    makes the two geometric factors coincide, and the identity
+    gamma = (1-eps*q)^r == alpha^-1 (alpha*Lambda)^r is verified to 1e-12
+    relative.
     """
     alpha, lam_cap = derive_alpha_lambda(p)
     eps_q = m.epsilon * m.q_mass_lower
     if eps_q <= 0.0:
         raise BoundError("no minorization mass (eps_q <= 0)")
-    r, gamma = optimal_r(alpha, lam_cap, eps_q)
+    if eps_q >= 1.0:
+        raise BoundError(f"eps_q must be < 1, got {eps_q!r}")
+    log_keep = math.log1p(-eps_q)  # log(1 - eps*q)
+    r = math.log(alpha) / (math.log(alpha * lam_cap) - log_keep)
+    gamma = math.exp(r * log_keep)
     other = math.exp(r * math.log(alpha * lam_cap) - math.log(alpha))
     if abs(gamma - other) > 1e-12 * abs(gamma):
         raise BoundError("balanced-rate identity failed beyond 1e-12 relative error")
-    log_inv_gamma = -r * math.log1p(-eps_q)
+    log_inv_gamma = -r * log_keep
     return DerivedConstants(
         alpha=alpha, Lambda=lam_cap, r=r, gamma=gamma, log_inv_gamma=log_inv_gamma
     )
@@ -226,18 +211,6 @@ def evaluate_bound(
     return term1 + term2 + tails
 
 
-def classic_bound(
-    p: DriftParameters,
-    epsilon: float,
-    k: int,
-) -> float:
-    """Certificate with the whole space as the good set: full minorization
-    mass and no exit terms."""
-    m = MinorizationCertificate(epsilon=epsilon, q_mass_lower=1.0)
-    dc = derived_constants(p, m)
-    return evaluate_bound(p, m, dc, TailSequence(), k)
-
-
 def mixing_time_certificate(
     C1: float,
     C2: float,
@@ -251,7 +224,7 @@ def mixing_time_certificate(
     into equal budgets of c/3 gives a step count
     ``K_bar = ceil[(log C1 - log(c/3)) / log(1/gamma)]`` (at least 1) and a
     sample-size threshold
-    ``N_c = ceil max{1, (K_bar*3*C3/c)^2, ((K_bar+1)*sqrt(3*C3/c))^2}``
+    ``N_c = ceil max{1, (K_bar*3*C3/c)^2, 3*C2*K_bar*(K_bar+1)/c}``
     past which K_bar steps suffice.  The rate enters as log(1/gamma), which
     stays positive where gamma itself rounds to 1.0.
     """
@@ -265,7 +238,7 @@ def mixing_time_certificate(
     n_c = max(
         1.0,
         (k_bar * 3.0 * C3 / c) ** 2,
-        ((k_bar + 1.0) * math.sqrt(3.0 * C3 / c)) ** 2,
+        3.0 * C2 * k_bar * (k_bar + 1.0) / c,
     )
     if not math.isfinite(n_c):
         raise BoundError("sample-size threshold overflowed")

@@ -58,10 +58,10 @@ tight config); truncating the mu and S ranges only lowers the bound.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
-term dropped; epsilon is therefore an approximate lower bound.  Only
-build_epsilon_report (criterion 9 and the tests) cross-checks it against an
-importance-sampling overlap oracle on the exact kernel, failing loudly if
-the check trips; the certificate path (assemble_gibbs_bound) does not.
+term dropped; epsilon is therefore an approximate lower bound.  The
+certificate path (assemble_gibbs_bound) does not guard it; acceptance
+criterion 9 checks the assembled certificate's epsilon against the
+importance-sampling overlap oracle on the exact kernel (overlap_oracle_mc).
 """
 
 from __future__ import annotations
@@ -78,16 +78,13 @@ from .numerics import QuadratureSpec, RngStream, integrate
 __all__ = [
     "MinorizationError",
     "SmallSetBox",
-    "EpsilonReport",
-    "epsilon_lower_bound",
     "uniform_component",
     "overlap_oracle_mc",
-    "build_epsilon_report",
 ]
 
 
 class MinorizationError(Exception):
-    """Minorization construction failed or its honesty guard tripped."""
+    """The minorization construction or its overlap oracle failed."""
 
 
 @dataclass(frozen=True)
@@ -130,34 +127,6 @@ class SmallSetBox:
     @property
     def a_high(self) -> float:
         return self.A_center + self.halfwidth
-
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    """Quadrature lower bound next to its Monte Carlo overlap cross-check.
-
-    ``s_density_drops_cross_term`` records that the quadrature route uses
-    the reduced S law, which is exactly what the overlap oracle guards.
-    """
-
-    epsilon_quadrature: float
-    epsilon_mc_overlap: float
-    mc_standard_error: float
-    s_density_drops_cross_term: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon_quadrature <= 1.0):
-            raise MinorizationError(
-                f"epsilon_quadrature must lie in (0,1], got {self.epsilon_quadrature!r}"
-            )
-        if not (0.0 <= self.epsilon_mc_overlap <= 1.0):
-            raise MinorizationError("epsilon_mc_overlap must lie in [0,1]")
-        if self.epsilon_quadrature > self.epsilon_mc_overlap + 3.0 * self.mc_standard_error:
-            raise MinorizationError(
-                "lower-bound guard tripped: quadrature epsilon "
-                f"{self.epsilon_quadrature!r} exceeds MC overlap "
-                f"{self.epsilon_mc_overlap!r} + 3*{self.mc_standard_error!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +266,6 @@ def _mu_factor(box, ds, cfg) -> float:
                      breakpoints=[tb_c - hw + r, tb_c, tb_c + hw - r])
 
 
-def _volume(s_factor: float, box: SmallSetBox, ds: Dataset, cfg: ModelConfig) -> float:
-    """Product-form volume from an already integrated S factor."""
-    eps = s_factor * _mu_factor(box, ds, cfg)
-    if not (eps > 0.0):
-        raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
-    return min(eps, 1.0)
-
-
-def epsilon_lower_bound(box: SmallSetBox, ds: Dataset, cfg: ModelConfig) -> float:
-    """Product-form minorization volume for the kernel over the box.
-
-    The S factor is a quadrature of the endpoint infimum of the S density;
-    the mu factor is one quadrature of closed-form terms.  The endpoint
-    infima are exact by the argument in the module docstring, which needs
-    n >= 5 (smaller n raises MinorizationError).
-    """
-    return _volume(_s_factor(box, ds, cfg), box, ds, cfg)
-
-
 def uniform_component(
     box: SmallSetBox,
     ds: Dataset,
@@ -323,7 +273,13 @@ def uniform_component(
     large_set: LargeSetSpec,
 ) -> tuple[float, float]:
     """Volume epsilon and band mass of the uniform component, sharing one
-    quadrature of the S factor; epsilon equals :func:`epsilon_lower_bound`.
+    quadrature of the S factor.
+
+    epsilon is the product of the S factor (a quadrature of the endpoint
+    infimum of the S density) and the mu factor (one quadrature of
+    closed-form terms), capped at 1.  The endpoint infima are exact by the
+    argument in the module docstring, which needs n >= 5 (smaller n raises
+    MinorizationError, as does a volume that is not positive).
 
     The component's A-coordinate is exactly inverse-gamma with shape
     a + (n-1)/2 and scale b + (n-1)S/2 under the component's S law, so the
@@ -334,7 +290,9 @@ def uniform_component(
     where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.
     """
     s_factor = _s_factor(box, ds, cfg)
-    eps = _volume(s_factor, box, ds, cfg)  # eps > 0, so s_factor > 0 too
+    eps = s_factor * _mu_factor(box, ds, cfg)
+    if not (eps > 0.0):  # so s_factor > 0 too
+        raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
     n = ds.n
     a1 = cfg.prior_shape_a + 0.5 * (n - 1)
     t_low, t_high = large_set.a_low, large_set.a_high
@@ -347,7 +305,7 @@ def uniform_component(
 
     num = _s_factor(box, ds, cfg, weight=tail)
     frac_out = min(max(num / s_factor, 0.0), 1.0)
-    return eps, 1.0 - frac_out
+    return min(eps, 1.0), 1.0 - frac_out
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +407,3 @@ def overlap_oracle_mc(
                 best = (est, se)
     assert best is not None
     return best
-
-
-def build_epsilon_report(
-    box: SmallSetBox,
-    ds: Dataset,
-    cfg: ModelConfig,
-    stream: RngStream,
-    n_samples: int = 200_000,
-) -> EpsilonReport:
-    """Quadrature bound plus oracle cross-check; raises if the guard trips."""
-    eps = epsilon_lower_bound(box, ds, cfg)
-    overlap, se = overlap_oracle_mc(box, ds, cfg, stream, n_samples)
-    return EpsilonReport(
-        epsilon_quadrature=eps,
-        epsilon_mc_overlap=overlap,
-        mc_standard_error=se,
-    )

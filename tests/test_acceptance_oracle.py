@@ -1,11 +1,13 @@
-"""The criterion-1 oracle at smoke scale, and stream ownership across criteria.
+"""The criterion-1 oracle at smoke scale, criteria 8 and 9 against a fault,
+and stream ownership across criteria.
 
 Criterion 1 reduces each block of latent vectors in one pass and runs its
 states on a thread pool; these tests hold the reduction to the materialized
 block, the pooled states to a serial run, and the criterion to its recorded
-value.  The last test runs every Monte Carlo criterion at smoke scale while
-recording the streams each one keys, so two criteria can never again draw
-the same bits.
+value.  Criteria 8 and 9 must fail when the bound or the certified epsilon
+they check is made wrong.  The last test runs every Monte Carlo criterion at
+smoke scale while recording the streams each one keys, so two criteria can
+never again draw the same bits.
 """
 
 import math
@@ -53,6 +55,34 @@ def test_criterion_1_states_do_not_depend_on_the_worker_count():
         sys.setswitchinterval(interval)
     assert len(serial) == len(acceptance._STREAMS["1 states"])
     assert pooled == serial
+
+
+def test_criterion_8_fails_when_the_bound_is_off_by_1e9(monkeypatch):
+    evaluate = acceptance.evaluate_bound
+    monkeypatch.setattr(acceptance, "evaluate_bound",
+                        lambda *args: (1.0 + 1e-9) * evaluate(*args))
+    result = acceptance.criterion_8_algebraic_identities(scale=SMOKE)
+    assert not result.passed
+    assert result.measured["max_direct_rel_err"] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_criterion_9_fails_when_the_overlap_is_below_the_certified_epsilon(monkeypatch):
+    certified = []
+    assemble = acceptance.assemble_gibbs_bound
+
+    def recording(*args, **kwargs):
+        report = assemble(*args, **kwargs)
+        certified.append(report.constants.epsilon)
+        return report
+
+    monkeypatch.setattr(acceptance, "assemble_gibbs_bound", recording)
+    monkeypatch.setattr(acceptance, "overlap_oracle_mc",
+                        lambda *args: (0.5 * certified[-1], 0.0))
+    result = acceptance.criterion_9_minorization_honesty(scale=SMOKE)
+    assert not result.passed
+    # the epsilon it reports is the assembled certificate's
+    assert [result.measured[f"n{n}"]["eps"] for n in (50, 100)] == [
+        float(f"{eps:.4e}") for eps in certified]
 
 
 @pytest.fixture(scope="module")

@@ -43,6 +43,25 @@ def test_workload_call_shapes_bind():
     assert (args["n_pairs"], args["n_steps"]) == (4000, 60)
 
 
+def test_chains_setup_calls_keep_their_shapes():
+    # perfbench/workloads.py, Chains.__init__: the large set, the small-set
+    # level from b and lambda_T, alpha from derive_alpha_lambda, the plan
+    cfg = cli.load_config(None, {"seed": 3})
+    ds = cfg.resolve_dataset()
+    spec = cfg.resolve_large_set(ds)
+    assert isinstance(spec, hier_model.LargeSetSpec)
+    b = hier_model.drift_offset_b(ds, cfg.model, spec)
+    lam = hier_model.lambda_T(spec, cfg.model.V)
+    assert b > 0.0 and 0.0 < lam < 1.0
+    pair = bound_core.derive_alpha_lambda(
+        bound_core.DriftParameters(lam=lam, b_drift=b, d_small=2.5 * b / (1.0 - lam)))
+    assert isinstance(pair, tuple) and len(pair) == 2
+    alpha, _ = pair
+    assert alpha > 1.0
+    plan = simulation.SimulationPlan(seed=3, **cfg.plan)
+    assert plan.seed == 3 and plan.n_chains >= 1 and plan.n_steps >= 1
+
+
 def test_traced_arguments_keep_their_names():
     # perfbench/tracing.py counts steps from n_steps and wraps integrate's f
     assert "n_steps" in inspect.signature(_marginal.run_summary_chain).parameters

@@ -10,12 +10,10 @@ from driftbound.bound_core import (
     DriftParameters,
     MinorizationCertificate,
     TailSequence,
-    classic_bound,
     derive_alpha_lambda,
     derived_constants,
     evaluate_bound,
     mixing_time_certificate,
-    optimal_r,
 )
 
 
@@ -85,26 +83,37 @@ def test_alpha_error_when_small_set_too_small():
         derive_alpha_lambda(Stub())
 
 
+def _balanced(eps=0.5, q=1.0):
+    """derived_constants at alpha = 1.375 and Lambda = 13, both exact."""
+    return derived_constants(_params(0.5, 1.0, 10.0), MinorizationCertificate(eps, q))
+
+
 def test_optimal_r_frozen_oracle():
     # frozen from a 40-digit reference evaluation of both closed forms
-    r, gamma = optimal_r(1.375, 13.0, 0.5)
-    assert r == pytest.approx(0.089039355567371063, rel=1e-13)
-    assert gamma == pytest.approx(0.94014855565830643, rel=1e-13)
-    other = (1.0 / 1.375) * (1.375 * 13.0) ** r
-    assert abs(gamma - other) <= 1e-12 * gamma
+    dc = _balanced()
+    assert (dc.alpha, dc.Lambda) == (1.375, 13.0)
+    assert dc.r == pytest.approx(0.089039355567371063, rel=1e-13)
+    assert dc.gamma == pytest.approx(0.94014855565830643, rel=1e-13)
+    other = (1.0 / 1.375) * (1.375 * 13.0) ** dc.r
+    assert abs(dc.gamma - other) <= 1e-12 * dc.gamma
 
 
 def test_optimal_r_direct_evaluation():
-    r, gamma = optimal_r(2.0, 1.0, 0.5)
-    assert r == pytest.approx(0.5, rel=1e-15)
-    assert gamma == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    dc = _balanced()
+    assert dc.r == pytest.approx(math.log(1.375) / math.log(1.375 * 13.0 / 0.5), rel=1e-15)
+    assert dc.gamma == pytest.approx(0.5 ** dc.r, rel=1e-15)
+    assert dc.log_inv_gamma == pytest.approx(dc.r * math.log(2.0), rel=1e-15)
 
 
 def test_optimal_r_rejects_degenerate_mass():
     with pytest.raises(BoundError, match="no minorization mass"):
-        optimal_r(1.375, 13.0, 0.0)
-    with pytest.raises(BoundError):
-        optimal_r(1.375, 13.0, 1.0)
+        _balanced(q=0.0)
+
+    class Whole:  # a full-mass certificate that MinorizationCertificate refuses
+        epsilon, q_mass_lower = 1.0, 1.0
+
+    with pytest.raises(BoundError, match="eps_q must be < 1"):
+        derived_constants(_params(0.5, 1.0, 10.0), Whole())
 
 
 def test_balanced_identity_randomized():
@@ -173,22 +182,12 @@ def test_tail_terms_are_additive():
     assert with_tails == pytest.approx(base + 0.1 + 0.002 * 110, rel=1e-14)
 
 
-def test_classic_bound_equals_whole_space_reduction():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        lam = rng.uniform(0.05, 0.95)
-        b = rng.uniform(0.0, 4.0)
-        d = 2.0 * b / (1.0 - lam) * rng.uniform(1.1, 3.0) + rng.uniform(0.2, 2.0)
-        eps = rng.uniform(0.02, 0.95)
-        k = int(rng.integers(1, 60))
-        p = _params(lam, b, d, rng.uniform(0.0, 2.0))
-        m = MinorizationCertificate(epsilon=eps, q_mass_lower=1.0)
-        dc = derived_constants(p, m)
-        assert classic_bound(p, eps, k) == evaluate_bound(p, m, dc, TailSequence(), k)
-
-
 def test_classic_bound_k1_positive_finite():
-    val = classic_bound(_params(0.5, 1.0, 10.0), 0.5, 1)
+    # the classic certificate: the whole space as the good set, full
+    # minorization mass and no exit terms
+    p = _params(0.5, 1.0, 10.0)
+    m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
+    val = evaluate_bound(p, m, derived_constants(p, m), TailSequence(), 1)
     assert math.isfinite(val) and val > 0.0
 
 
@@ -240,8 +239,18 @@ def test_mixing_certificate_frozen():
     # frozen: ceil(6.80239.../0.0615105...) = 111
     k_bar, n_c = mixing_time_certificate(3.0, 1.0, 1.0, math.log(1.0 / 0.94035), 0.01)
     assert k_bar == 111
-    assert n_c == math.ceil(max(1.0, (111 * 3.0 / 0.01) ** 2,
-                                (112 * math.sqrt(3.0 / 0.01)) ** 2))
+    assert n_c == math.ceil(max(1.0, (111 * 3.0 / 0.01) ** 2, 3.0 * 111 * 112 / 0.01))
+
+
+def test_mixing_certificate_sample_size_covers_the_quadratic_term():
+    # C2*k(1+k)/n <= c/3 binds here: K_bar = 35 needs n >= 3*100*35*36/0.25,
+    # far beyond the (35*3*0.01/0.25)^2 = 17.64 of the C3 term
+    c = 0.25
+    k_bar, n_c = mixing_time_certificate(3.0, 100.0, 0.01, math.log(1.0 / 0.9), c)
+    assert k_bar == 35
+    assert n_c == 1_512_000
+    assert 100.0 * k_bar * (1 + k_bar) / n_c <= c / 3.0
+    assert 0.01 * k_bar / math.sqrt(n_c) <= c / 3.0
 
 
 def test_mixing_certificate_small_target_gap():

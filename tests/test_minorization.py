@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from driftbound.hier_model import (
+    LargeSetSpec,
     ModelConfig,
     data_center,
     default_large_set,
@@ -15,7 +16,6 @@ from driftbound.hier_model import (
     synth_dataset,
 )
 from driftbound.minorization import (
-    EpsilonReport,
     MinorizationError,
     SmallSetBox,
     _endpoint_infimum,
@@ -25,8 +25,6 @@ from driftbound.minorization import (
     _pair_overlap,
     _s_density,
     _theta_bar_overlap,
-    build_epsilon_report,
-    epsilon_lower_bound,
     overlap_oracle_mc,
     uniform_component,
 )
@@ -65,19 +63,19 @@ def test_box_from_level(tight100):
 
 
 def test_collapsed_box_volume_is_nearly_full(tight100):
-    ds, _, _ = tight100
+    ds, spec, _ = tight100
     box = SmallSetBox.from_level(1e-12, ds, TIGHT)
-    eps = epsilon_lower_bound(box, ds, TIGHT)
+    eps = uniform_component(box, ds, TIGHT, spec)[0]
     # singleton infima integrate the exact conditional densities
     assert 0.95 < eps <= 1.0
 
 
 def test_volume_nonincreasing_in_box_width(tight100):
-    ds, _, d = tight100
+    ds, spec, d = tight100
     values = []
     for factor in (0.1, 0.3, 0.6, 1.0, 1.5):
         box = SmallSetBox.from_level(d * factor, ds, TIGHT)
-        values.append(epsilon_lower_bound(box, ds, TIGHT))
+        values.append(uniform_component(box, ds, TIGHT, spec)[0])
     for wide, narrow in zip(values[1:], values[:-1]):
         assert wide <= narrow * (1.0 + 1e-6)
     assert all(0.0 < v <= 1.0 for v in values)
@@ -261,15 +259,13 @@ def test_epsilon_needs_n_at_least_five():
     ds = synth_dataset(4, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
     box = SmallSetBox.from_level(4 * 0.05 ** 2, ds, TIGHT)
     with pytest.raises(MinorizationError, match="n=4"):
-        epsilon_lower_bound(box, ds, TIGHT)
-    with pytest.raises(MinorizationError, match="n=4"):
         uniform_component(box, ds, TIGHT, default_large_set(ds, TIGHT))
 
 
 def test_quadrature_volume_below_mc_overlap(tight100):
-    ds, _, d = tight100
+    ds, spec, d = tight100
     box = SmallSetBox.from_level(d, ds, TIGHT)
-    eps = epsilon_lower_bound(box, ds, TIGHT)
+    eps = uniform_component(box, ds, TIGHT, spec)[0]
     overlap, se = overlap_oracle_mc(box, ds, TIGHT, RngStream(13, 2), 20_000)
     assert eps <= overlap + 3.0 * se
     assert eps > 0.0
@@ -301,7 +297,6 @@ def test_band_mass_bounds(tight100):
     _, q = uniform_component(box, ds, TIGHT, spec)
     assert 0.0 <= q <= 1.0
     assert q > 0.9
-    from driftbound.hier_model import LargeSetSpec
     wide = LargeSetSpec(T=1e-7, center=spec.center)
     # the widened band still cuts the far upper tail, so the mass is close
     # to one only up to that genuine tail contribution
@@ -309,26 +304,12 @@ def test_band_mass_bounds(tight100):
 
 
 @pytest.mark.parametrize("factor", [0.3, 1.0])
-def test_uniform_component_epsilon_is_epsilon_lower_bound(tight100, factor):
+def test_uniform_component_epsilon_does_not_depend_on_the_band(tight100, factor):
+    # the band enters only the band mass; the volume is the box's alone
     ds, spec, d = tight100
     box = SmallSetBox.from_level(d * factor, ds, TIGHT)
-    eps, _ = uniform_component(box, ds, TIGHT, spec)
-    assert eps == epsilon_lower_bound(box, ds, TIGHT)
-
-
-
-def test_epsilon_report_guard_trips():
-    with pytest.raises(MinorizationError, match="guard"):
-        EpsilonReport(epsilon_quadrature=0.5, epsilon_mc_overlap=0.1,
-                      mc_standard_error=0.01)
-    rep = EpsilonReport(epsilonquadrature := 0.05, 0.1, 0.01)
-    assert rep.epsilon_quadrature == epsilonquadrature
-    assert rep.s_density_drops_cross_term
-
-
-def test_build_epsilon_report_runs(tight100):
-    ds, _, d = tight100
-    box = SmallSetBox.from_level(d, ds, TIGHT)
-    rep = build_epsilon_report(box, ds, TIGHT, RngStream(23, 0), n_samples=10_000)
-    assert rep.epsilon_quadrature > 0.0
-    assert rep.epsilon_quadrature <= rep.epsilon_mc_overlap + 3.0 * rep.mc_standard_error
+    wide = LargeSetSpec(T=1e-7, center=spec.center)
+    eps, q = uniform_component(box, ds, TIGHT, spec)
+    eps_wide, q_wide = uniform_component(box, ds, TIGHT, wide)
+    assert eps == eps_wide
+    assert q < q_wide
