@@ -23,7 +23,6 @@ from .bound_core import (  # noqa: F401
     DerivedConstants,
     DriftParameters,
     MinorizationCertificate,
-    TailSequence,
     derive_alpha_lambda,
     derived_constants,
     evaluate_bound,
@@ -49,7 +48,6 @@ from .hier_model import (  # noqa: F401
 from .numerics import (  # noqa: F401
     NumericsError,
     QuadratureError,
-    QuadratureSpec,
     RngStream,
     integrate,
     integrate_halfline,

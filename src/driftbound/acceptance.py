@@ -31,7 +31,6 @@ from scipy.special import ndtr, ndtri
 from .bound_core import (
     DriftParameters,
     MinorizationCertificate,
-    TailSequence,
     derived_constants,
     evaluate_bound,
 )
@@ -43,7 +42,6 @@ from .hier_model import (
     default_large_set,
     drift_offset_b,
     drift_value_summary,
-    exit_budget,
     expected_drift,
     expected_inv_A,
     initial_state,
@@ -59,7 +57,6 @@ from .simulation import (
     hitting_time_stats,
     run_ensemble,
     run_reference_chain,
-    run_restricted_chain,
     run_trace_chain,
     split_half_tv,
     tv_from_counts,
@@ -393,12 +390,14 @@ def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
-    """Empirical exit mass stays below the closed-form budget for k <= 10."""
+    """Empirical exit mass stays below the certificate's own exit terms for
+    k <= 10."""
     t0 = time.monotonic()
     cfg, center = _tight_model()
     ds = _dataset(cfg, 100, center)
     spec = default_large_set(ds, cfg)
-    tails, *_ = exit_budget(ds, cfg, spec, drift_offset_b(ds, cfg, spec))
+    report = assemble_gibbs_bound(ds, cfg, large_set=spec, k_max=10)
+    exit_terms = report.term_sqrt + report.term_quadratic
 
     n_chains = _count(100_000, scale, floor=5_000)
     plan = SimulationPlan(n_chains=n_chains, n_steps=10, seed=_PLAN_SEEDS["5 ensemble"])
@@ -420,14 +419,13 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
     for k in range(1, 11):
         emp = k * pi_hat + float(exit_freq[:k].sum())
         se = math.hypot(k * pi_se, math.sqrt(float((exit_se[:k] ** 2).sum())))
-        budget = k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
-        worst = max(worst, emp - 3.0 * se - budget)
+        worst = max(worst, emp - 3.0 * se - float(exit_terms[k - 1]))
     seconds = time.monotonic() - t0
     return CriterionResult(
         name="5 tail bound",
         passed=worst <= 0.0,
         measured={"max_excess": round(worst, 5), "pi_hat_exit": round(pi_hat, 6)},
-        threshold="k*pi_hat + sum exits <= formula + 3 SE for k <= 10",
+        threshold="k*pi_hat + sum exits <= certificate exit terms + 3 SE for k <= 10",
         seconds=seconds,
     )
 
@@ -491,8 +489,8 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
     n_samples = _count(1_000_000, scale, floor=100_000)
     burn = _count(10_000, scale, floor=2_000)
     tr_tb, tr_a = run_trace_chain(ds, cfg, spec, _stream("7 trace chain"), n_samples, burn)
-    rs_tb, rs_a = run_restricted_chain(ds, cfg, spec, _stream("7 restricted chain"),
-                                       n_samples, burn)
+    rs_tb, rs_a = run_reference_chain(ds, cfg, _stream("7 restricted chain"), n_samples, burn,
+                                      band=spec)
     tv_trace = tv_from_counts(bins.counts(tr_tb, tr_a), ref_counts)
     tv_restr = tv_from_counts(bins.counts(rs_tb, rs_a), ref_counts)
 
@@ -546,14 +544,14 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
         dc = derived_constants(p, m)
         other = math.exp(dc.r * math.log(dc.alpha * dc.Lambda) - math.log(dc.alpha))
         worst_gamma = max(worst_gamma, abs(dc.gamma - other) / dc.gamma)
-        # without exit terms the bound is the two-term formula of bound_core
+        # the bound is the two-term formula of bound_core
         c0 = 1.0 + p.initial_drift_expectation + b / (1.0 - lam)
         for k in (1, 7, 40):
             rk = dc.r * k
             direct = ((1.0 - eps * q) ** rk
                       + ((dc.alpha * dc.Lambda) ** rk * c0 - dc.alpha ** rk)
                       / (dc.alpha ** k - dc.alpha ** rk))
-            got = evaluate_bound(p, m, dc, TailSequence(), k)
+            got = evaluate_bound(p, m, dc, k)
             worst_direct = max(worst_direct, abs(got - direct) / direct)
     seconds = time.monotonic() - t0
     return CriterionResult(

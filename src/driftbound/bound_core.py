@@ -3,21 +3,21 @@
 A Markov chain that contracts a nonnegative energy function on a designated
 subset of the state space (``E[f(X_1)|X_0=x] <= lambda*f(x) + b`` there) and
 admits a uniform kernel component ``epsilon * Q`` on the sublevel set
-``{f <= d}`` yields an explicit bound on the distance to stationarity:
+``{f <= d}`` yields an explicit bound on the distance to stationarity of the
+chain restricted to that subset:
 
     (1 - eps*Q_mass)^(r*k)
       + [ (alpha*Lambda)^(r*k) * (1 + E_init[f] + b/(1-lambda)) - alpha^(r*k) ]
         / (alpha^k - alpha^(r*k))
-      + k * pi_exit + cumulative_exit(k)
 
 with ``alpha^-1 = (1 + 2b + lambda*d)/(1 + d)`` and
 ``Lambda = 1 + 2(lambda*d + b)``.  The free exponent ``r`` defaults to the
 value that balances the two geometric rates, giving a single decay factor
 ``gamma = (1 - eps*Q_mass)^r = alpha^-1 (alpha*Lambda)^r``.
 
-The exit terms (``pi_exit``, ``cumulative_exit``) account for excursions off
-the subset where the contraction holds; with the whole space as that subset
-they vanish and the classic certificate is recovered.
+With the whole space as that subset this is the classic certificate.  A
+model whose contraction holds on a proper subset adds its own budget for
+leaving it (for the hierarchical model, ``hier_model.bound_terms``).
 
 Everything is evaluated in log space so certificates stay finite for step
 counts up to 10**6 and beyond.
@@ -26,15 +26,13 @@ counts up to 10**6 and beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 __all__ = [
     "BoundError",
     "DriftParameters",
     "MinorizationCertificate",
     "DerivedConstants",
-    "TailSequence",
     "derive_alpha_lambda",
     "derived_constants",
     "evaluate_bound",
@@ -122,22 +120,6 @@ class DerivedConstants:
             raise BoundError("gamma and log_inv_gamma are inconsistent")
 
 
-@dataclass(frozen=True)
-class TailSequence:
-    """Exit-probability budget: per-step stationary mass outside the good set
-    and a cumulative bound on the chain's own exit probabilities."""
-
-    pi_exit_bound: float = 0.0
-    cumulative_exit_bound: Callable[[int], float] = field(default=lambda k: 0.0)
-
-    def __post_init__(self):
-        if not (self.pi_exit_bound >= 0.0):
-            raise BoundError("pi_exit_bound must be >= 0")
-        at_zero = self.cumulative_exit_bound(0)
-        if at_zero != 0.0:
-            raise BoundError(f"cumulative_exit_bound(0) must be 0, got {at_zero!r}")
-
-
 def derive_alpha_lambda(p: DriftParameters) -> tuple[float, float]:
     """Closed forms alpha^-1 = (1+2b+lambda*d)/(1+d) and Lambda = 1+2(lambda*d+b)."""
     inv_alpha = (1.0 + 2.0 * p.b_drift + p.lam * p.d_small) / (1.0 + p.d_small)
@@ -180,10 +162,11 @@ def evaluate_bound(
     p: DriftParameters,
     m: MinorizationCertificate,
     dc: DerivedConstants,
-    t: TailSequence,
     k: int,
 ) -> float:
-    """Raw certificate value at step k (not clamped to [0,1]).
+    """Raw certificate value at step k (not clamped to [0,1]) for the chain
+    restricted to the subset where the contraction holds: the module's
+    two-term formula, with no exit terms.
 
     All powers are computed as exp(k*log(.)); the coupling ratio is reduced
     so that every exponent is nonpositive, which keeps the evaluation finite
@@ -206,9 +189,7 @@ def evaluate_bound(
     e_num = math.exp(dc.r * k * log_alpha_lam - k * log_alpha + math.log(c0))
     e_sub = math.exp((dc.r - 1.0) * k * log_alpha)
     term2 = (e_num - e_sub) / (1.0 - e_sub)
-
-    tails = k * t.pi_exit_bound + t.cumulative_exit_bound(k)
-    return term1 + term2 + tails
+    return term1 + term2
 
 
 def mixing_time_certificate(

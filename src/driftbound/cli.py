@@ -106,6 +106,21 @@ _PLAN_KEYS = {"n_chains", "n_steps", "burn_in", "record_stride"}
 _REF_KEYS = {"n_steps", "burn_in"}
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; booleans, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved, validated experiment configuration."""
@@ -130,7 +145,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
-            if key in ("model", "plan", "reference") and isinstance(value, dict):
+            if key in ("model", "plan", "reference"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config.{key} must be a JSON object, got {value!r}")
                 bad = set(value) - {"model": _MODEL_KEYS, "plan": _PLAN_KEYS,
                                     "reference": _REF_KEYS}[key]
                 if bad:
@@ -143,62 +160,67 @@ class ExperimentConfig:
         if not isinstance(data, dict) or len(data) != 1 or next(iter(data)) not in ("synth", "file"):
             raise ConfigError("config.data must contain exactly one of 'synth' or 'file'")
         if "synth" in data:
-            synth = dict(data["synth"])
+            synth = data["synth"]
+            if not isinstance(synth, dict):
+                raise ConfigError(f"data.synth must be a JSON object, got {synth!r}")
             bad = set(synth) - {"n", "center", "exact_center"}
             if bad:
                 raise ConfigError(f"unknown data.synth keys: {sorted(bad)}")
-            if int(synth.get("n", 0)) < 2:
+            if _integer(synth.get("n", 0), "data.synth.n") < 2:
                 raise ConfigError("data.synth.n must be an integer >= 2")
-            if not (float(synth.get("center", 0.0)) > 0.0):
+            if not (_number(synth.get("center", 0.0), "data.synth.center") > 0.0):
                 raise ConfigError("data.synth.center must be positive")
+            if not isinstance(synth.get("exact_center", False), bool):
+                raise ConfigError("data.synth.exact_center must be true or false, "
+                                  f"got {synth['exact_center']!r}")
+        elif not isinstance(data["file"], str):
+            raise ConfigError(f"data.file must be a path string, got {data['file']!r}")
 
+        given = {k: _number(v, f"model.{k}") for k, v in merged["model"].items()}
         try:
-            model = ModelConfig(
-                V=float(merged["model"]["V"]),
-                prior_shape_a=float(merged["model"]["a"]),
-                prior_scale_b=float(merged["model"]["b"]),
-                delta_margin=float(merged["model"]["delta"]),
-            )
+            model = ModelConfig(V=given["V"], prior_shape_a=given["a"],
+                                prior_scale_b=given["b"], delta_margin=given["delta"])
         except ModelError as exc:
             raise ConfigError(f"config.model: {exc}") from exc
 
-        if merged["large_set_T"] is not None and not (float(merged["large_set_T"]) > 0.0):
-            raise ConfigError("large_set_T must be positive when given")
-        if merged["small_set_d"] is not None and not (float(merged["small_set_d"]) > 0.0):
-            raise ConfigError("small_set_d must be positive when given")
-        if int(merged["k_max"]) < 1:
+        levels = {key: None if merged[key] is None else _number(merged[key], key)
+                  for key in ("large_set_T", "small_set_d")}
+        for key, value in levels.items():
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{key} must be positive when given")
+        ints = {key: _integer(merged[key], key) for key in ("k_max", "seed", "threads")}
+        if ints["k_max"] < 1:
             raise ConfigError("k_max must be >= 1")
-        if not (0 <= int(merged["seed"]) < 2**64):
+        if not (0 <= ints["seed"] < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if int(merged["threads"]) < 1:
+        if ints["threads"] < 1:
             raise ConfigError("threads must be >= 1")
-        if not (0.0 < float(merged["mix_target_c"]) < 1.0):
+        mix_target_c = _number(merged["mix_target_c"], "mix_target_c")
+        if not (0.0 < mix_target_c < 1.0):
             raise ConfigError("mix_target_c must lie in (0, 1)")
-        if not (float(merged["validate_scale"]) > 0.0):
+        validate_scale = _number(merged["validate_scale"], "validate_scale")
+        if not validate_scale > 0.0:
             raise ConfigError("validate_scale must be positive")
-        plan = merged["plan"]
-        if int(plan["n_chains"]) < 1 or int(plan["n_steps"]) < 1:
+        plan = {k: _integer(v, f"plan.{k}") for k, v in merged["plan"].items()}
+        if plan["n_chains"] < 1 or plan["n_steps"] < 1:
             raise ConfigError("plan.n_chains and plan.n_steps must be >= 1")
-        if not (0 <= int(plan["burn_in"]) < int(plan["n_steps"])):
+        if not (0 <= plan["burn_in"] < plan["n_steps"]):
             raise ConfigError("plan.burn_in must satisfy 0 <= burn_in < n_steps")
-        if int(plan["record_stride"]) < 1:
+        if plan["record_stride"] < 1:
             raise ConfigError("plan.record_stride must be >= 1")
-        ref = merged["reference"]
-        if int(ref["n_steps"]) < 1 or int(ref["burn_in"]) < 0:
+        ref = {k: _integer(v, f"reference.{k}") for k, v in merged["reference"].items()}
+        if ref["n_steps"] < 1 or ref["burn_in"] < 0:
             raise ConfigError("reference.n_steps must be >= 1 and burn_in >= 0")
 
         return ExperimentConfig(
             model=model,
             data_source=data,
-            large_set_T=(None if merged["large_set_T"] is None else float(merged["large_set_T"])),
-            small_set_d=(None if merged["small_set_d"] is None else float(merged["small_set_d"])),
-            k_max=int(merged["k_max"]),
-            seed=int(merged["seed"]),
-            threads=int(merged["threads"]),
-            plan={k: int(plan[k]) for k in _PLAN_KEYS},
-            reference={k: int(ref[k]) for k in _REF_KEYS},
-            mix_target_c=float(merged["mix_target_c"]),
-            validate_scale=float(merged["validate_scale"]),
+            **levels,
+            **ints,
+            plan=plan,
+            reference=ref,
+            mix_target_c=mix_target_c,
+            validate_scale=validate_scale,
             raw=merged,
         )
 

@@ -15,9 +15,10 @@ This module owns the data handling, the chain state, the energy function
 its exact one-step conditional expectation (composed from closed-form
 conditional moments, no sampling), the contraction factor and its threshold
 version on the retained A-band, the closed-form drift offset, the
-certificate's exit budget, the end-to-end certificate assembly, and the
-posterior functional E[1/A], which no certificate constant uses: only
-``bound-curve``'s report and acceptance criterion 6 compute it.
+certificate's exit budget and the one evaluator of the bound's terms, the
+end-to-end certificate assembly, and the posterior functional E[1/A], which
+no certificate constant uses: only ``bound-curve``'s report and acceptance
+criterion 6 compute it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from numpy.polynomial import Chebyshev, Polynomial
 from .bound_core import (
     DriftParameters,
     MinorizationCertificate,
-    TailSequence,
     derived_constants,
     evaluate_bound,
     mixing_time_certificate,
@@ -57,6 +57,7 @@ __all__ = [
     "expected_drift",
     "drift_offset_b",
     "exit_budget",
+    "bound_terms",
     "expected_inv_A",
     "assemble_gibbs_bound",
     "extended_bound_general_start",
@@ -204,11 +205,13 @@ class BoundConstants:
 class GibbsBoundReport:
     """Certificate constants plus evaluated bound curves and step thresholds.
 
-    ``certificate_raw`` is the coupling-form bound (not clamped);
     ``term_geometric``/``term_quadratic``/``term_sqrt`` are the three-term
-    curve C1*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) split by term.  The
-    posterior functional E[1/A] is no part of a certificate: ``bound-curve``
-    computes it with :func:`expected_inv_A` for its report alone.
+    curve C1*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) split by term, from
+    :func:`bound_terms`; ``certificate_raw`` (not clamped) is the restricted
+    chain's coupling-form bound plus the same exit terms
+    ``term_sqrt + term_quadratic``.  The posterior functional E[1/A] is no
+    part of a certificate: ``bound-curve`` computes it with
+    :func:`expected_inv_A` for its report alone.
     """
 
     n: int
@@ -451,32 +454,33 @@ def drift_offset_b(
 
 
 def exit_budget(
-    ds: Dataset,
     cfg: ModelConfig,
     spec: LargeSetSpec,
     b: float,
-) -> tuple[TailSequence, float, float, float]:
-    """Exit terms of the certificate for leaving the retained band, from the
-    canonical start, with their constants (C2, C3, C4).
+) -> tuple[float, float, float]:
+    """Constants (C2, C3, C4) of the certificate's budget for leaving the
+    retained band; :func:`bound_terms` evaluates it.
 
     With gap = center - T, the stationary mass outside the band is bounded
-    per step by pi_exit = sqrt(b/n)*(2V/delta_margin + 1)/gap = C3/sqrt(n),
-    and the chain's own exits through step k by C2*k(1+k)/n with
-    C2 = b/(2 gap^2); C4 = 1/gap^2 carries a start energy (see
-    :func:`extended_bound_general_start`).  The k-step budget is
-    k*pi_exit + C2*k(1+k)/n.
+    per step by C3/sqrt(n) with C3 = sqrt(b)*(2V/delta_margin + 1)/gap, and
+    the chain's own exits from the canonical start through step k by
+    C2*k(1+k)/n with C2 = b/(2 gap^2); C4 = 1/gap^2 carries a start energy
+    (see :func:`extended_bound_general_start`).
     """
     gap = spec.center - spec.T
-    n = ds.n
     spread = 2.0 * cfg.V / cfg.delta_margin + 1.0
-    c2 = b / (2.0 * gap**2)
-    c3 = math.sqrt(b) * spread / gap
-    c4 = 1.0 / gap**2
-    tails = TailSequence(
-        pi_exit_bound=math.sqrt(b / n) * spread / gap,
-        cumulative_exit_bound=lambda k: c2 * k * (1.0 + k) / n,
-    )
-    return tails, c2, c3, c4
+    return b / (2.0 * gap**2), math.sqrt(b) * spread / gap, 1.0 / gap**2
+
+
+def bound_terms(constants: BoundConstants, n: int, k):
+    """The three terms (C1*gamma^k, C2*k(1+k)/n, C3*k/sqrt(n)) of the bound
+    at step k for sample size n: the restricted chain's geometric decay, the
+    chain's own exits from the band through step k, and k steps of
+    stationary mass outside it.  Array-friendly in k.
+    """
+    return (constants.C1 * np.exp(-constants.log_inv_gamma * k),
+            constants.C2 * k * (1.0 + k) / n,
+            constants.C3 * k / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +571,9 @@ def assemble_gibbs_bound(
     The minorization volume comes from the product-of-infima construction
     over the small-set box, and the mass of the constructed uniform
     component on the retained band is evaluated directly by quadrature; the
-    exit terms come from :func:`exit_budget`.  ``large_set`` must be
-    centered at the data center, as the small set is; d defaults to
-    :func:`default_small_set_level`.
+    exit terms come from :func:`exit_budget` and :func:`bound_terms`.
+    ``large_set`` must be centered at the data center, as the small set is;
+    d defaults to :func:`default_small_set_level`.
     """
     from . import minorization  # local import; minorization depends on this module
 
@@ -602,17 +606,7 @@ def assemble_gibbs_bound(
     dc = derived_constants(p, m)
 
     c1 = 2.0 + b / (1.0 - lam_t)
-    tails, c2, c3, c4 = exit_budget(ds, cfg, spec, b)
-
-    ks = np.arange(1, k_max + 1)
-    raw = np.array([evaluate_bound(p, m, dc, tails, int(k)) for k in ks])
-    term_geo = c1 * np.exp(-dc.log_inv_gamma * ks)
-    term_quad = c2 * ks * (1.0 + ks) / ds.n
-    term_sqrt = c3 * ks / math.sqrt(ds.n)
-    three_term_total = term_geo + term_quad + term_sqrt
-
-    k_bar, n_c = mixing_time_certificate(c1, c2, c3, dc.log_inv_gamma, mix_target_c)
-
+    c2, c3, c4 = exit_budget(cfg, spec, b)
     constants = BoundConstants(
         lambda_T=lam_t, b_drift=b, d_small=d, T=spec.T, center=c,
         epsilon=eps, q_mass_lower=q,
@@ -620,6 +614,14 @@ def assemble_gibbs_bound(
         log_inv_gamma=dc.log_inv_gamma,
         C1=c1, C2=c2, C3=c3, C4=c4,
     )
+
+    ks = np.arange(1, k_max + 1)
+    term_geo, term_quad, term_sqrt = bound_terms(constants, ds.n, ks)
+    three_term_total = term_geo + term_quad + term_sqrt
+    # the restricted chain's coupling bound plus the same exit terms
+    raw = np.array([evaluate_bound(p, m, dc, int(k)) for k in ks]) + (term_sqrt + term_quad)
+
+    k_bar, n_c = mixing_time_certificate(c1, c2, c3, dc.log_inv_gamma, mix_target_c)
     return GibbsBoundReport(
         n=ds.n,
         constants=constants,
@@ -660,5 +662,5 @@ def extended_bound_general_start(
         raise ModelError("no bound available outside the large set")
     f0 = drift_value_summary(x0.theta_bar, x0.A, ds, cfg)
     bc = report.constants
-    geo = (bc.C1 + f0) * math.exp(-bc.log_inv_gamma * k)
-    return geo + bc.C2 * k * (1.0 + k) / ds.n + bc.C3 * k / math.sqrt(ds.n) + bc.C4 * f0 * k / ds.n
+    start = f0 * (math.exp(-bc.log_inv_gamma * k) + bc.C4 * k / ds.n)
+    return float(sum(bound_terms(bc, ds.n, k)) + start)

@@ -73,7 +73,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
-from .numerics import QuadratureSpec, RngStream, integrate
+from .numerics import RngStream, integrate
 
 __all__ = [
     "MinorizationError",
@@ -172,11 +172,6 @@ def _endpoint_infimum(density, box: SmallSetBox, x):
 # the three factors
 # ---------------------------------------------------------------------------
 
-# The mu and S factors can be many orders of magnitude below 1; an absolute
-# tolerance near machine-zero makes the stopping rule relative.
-_RELATIVE_ONLY = QuadratureSpec(absolute_tolerance=1e-300)
-
-
 def _s_factor(box, ds, cfg, weight=None):
     """Integral over s of inf_A f_S(A; s), optionally times weight(s)."""
     n, v = ds.n, cfg.V
@@ -201,7 +196,7 @@ def _s_factor(box, ds, cfg, weight=None):
         return inf_vals
 
     breaks = sorted(set(float(x) for x in (m_ends + s2_ends) if s_lo < x < s_hi))
-    return integrate(integrand, s_lo, s_hi, _RELATIVE_ONLY, breakpoints=breaks)
+    return integrate(integrand, s_lo, s_hi, breakpoints=breaks)
 
 
 def _theta_bar_overlap(mu, box, ds, cfg):
@@ -262,8 +257,7 @@ def _mu_factor(box, ds, cfg) -> float:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         return _endpoint_infimum(mu_dens, box, mu) * _theta_bar_overlap(mu, box, ds, cfg)
 
-    return integrate(integrand, lo, hi, _RELATIVE_ONLY,
-                     breakpoints=[tb_c - hw + r, tb_c, tb_c + hw - r])
+    return integrate(integrand, lo, hi, breakpoints=[tb_c - hw + r, tb_c, tb_c + hw - r])
 
 
 def uniform_component(

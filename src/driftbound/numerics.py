@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "QuadratureError",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "RngStream",
     "integrate",
     "integrate_with_error",
@@ -43,30 +40,6 @@ class QuadratureError(NumericsError):
         super().__init__(f"{message} (best={best_estimate!r}, err={error_estimate!r})")
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance contract for the adaptive integrators.
-
-    Convergence is declared when the accumulated error estimate drops below
-    ``max(absolute_tolerance, relative_tolerance * |result|)``.
-    """
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-8
-    max_subdivisions: int = 1_000_000
-
-    def __post_init__(self):
-        if not (self.absolute_tolerance > 0.0):
-            raise NumericsError("absolute_tolerance must be strictly positive")
-        if not (self.relative_tolerance > 0.0):
-            raise NumericsError("relative_tolerance must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise NumericsError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +165,19 @@ def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     return k, abs(k - g)
 
 
+# The tolerance contract of every integral: convergence is declared when the
+# accumulated error estimate drops below max(_ABS_FLOOR, _REL_TOL*|result|).
+# The floor sits near machine zero, so the rule is relative even for the
+# minorization factors, which can lie many orders of magnitude below 1.
+_REL_TOL = 1e-8
+_ABS_FLOOR = 1e-300
+_MAX_PANELS = 1_000_000
+
+
 def _adaptive_gk(
     f: Callable,
     a: float,
     b: float,
-    spec: QuadratureSpec,
     breakpoints: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     edges = [a, b]
@@ -216,10 +197,10 @@ def _adaptive_gk(
 
     tie = len(heap)
     n_panels = len(heap)
-    while total_err > max(spec.absolute_tolerance, spec.relative_tolerance * abs(total_val)):
-        if n_panels >= spec.max_subdivisions:
+    while total_err > max(_ABS_FLOOR, _REL_TOL * abs(total_val)):
+        if n_panels >= _MAX_PANELS:
             raise QuadratureError(
-                f"quadrature did not converge within {spec.max_subdivisions} subdivisions",
+                f"quadrature did not converge within {_MAX_PANELS} subdivisions",
                 total_val,
                 total_err,
             )
@@ -249,29 +230,26 @@ def integrate_with_error(
     f: Callable,
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     breakpoints: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Adaptive integral of f on [a, b]: returns (value, error estimate)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise NumericsError(f"need finite a < b, got a={a!r}, b={b!r}")
-    return _adaptive_gk(f, float(a), float(b), spec, breakpoints)
+    return _adaptive_gk(f, float(a), float(b), breakpoints)
 
 
 def integrate(
     f: Callable,
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     breakpoints: Sequence[float] | None = None,
 ) -> float:
-    """Adaptive integral of f on [a, b] under the tolerance contract of ``spec``."""
-    return integrate_with_error(f, a, b, spec, breakpoints)[0]
+    """Adaptive integral of f on [a, b], to an error estimate of 1e-8 relative."""
+    return integrate_with_error(f, a, b, breakpoints)[0]
 
 
 def integrate_halfline(
     f: Callable,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     breakpoints: Sequence[float] | None = None,
 ) -> float:
     """Integral of f over (0, inf) via the substitution u = x/(1+x).
@@ -290,4 +268,4 @@ def integrate_halfline(
     mapped = None
     if breakpoints:
         mapped = [p / (1.0 + p) for p in breakpoints if p > 0.0]
-    return integrate(g, 0.0, 1.0, spec, mapped)
+    return integrate(g, 0.0, 1.0, mapped)

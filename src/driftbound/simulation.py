@@ -2,10 +2,10 @@
 
 Everything here rides on the exact summary-state recursion (see _marginal):
 ensembles of independent chains, single long reference chains standing in
-for the stationary law, the induced chain on the retained band ("stopping
-the clock"), the per-sub-step rejection chain, binned total-variation lower
-bounds, and joint return-time statistics for an independent pair of
-restricted chains.
+for the stationary law (with a band, the per-sub-step rejection chain), the
+induced chain on the retained band ("stopping the clock"), binned
+total-variation lower bounds, and joint return-time statistics for an
+independent pair of restricted chains.
 
 Reproducibility contract: every chain owns the stream
 (seed, stream base + chain index) with a fixed per-step draw layout, chunk
@@ -44,7 +44,6 @@ __all__ = [
     "HittingStats",
     "run_ensemble",
     "run_reference_chain",
-    "run_restricted_chain",
     "run_trace_chain",
     "tv_from_counts",
     "split_half_tv",
@@ -259,32 +258,17 @@ def run_reference_chain(
     stream: RngStream,
     n_steps: int,
     burn_in: int,
+    band: LargeSetSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Long single chain from the canonical start standing in for the
     stationary law; returns the ``n_steps`` (theta_bar, A) samples after
-    ``burn_in``."""
+    ``burn_in``.  With ``band`` it is the per-sub-step rejection chain on
+    that band, which must hold the start."""
     x = initial_state(ds, cfg)
-    tb, a = run_summary_chain(MarginalKernel(ds, cfg), (x.theta_bar, x.A), burn_in + n_steps,
-                              stream)
-    return tb[burn_in:], a[burn_in:]
-
-
-def run_restricted_chain(
-    ds: Dataset,
-    cfg: ModelConfig,
-    spec: LargeSetSpec,
-    stream: RngStream,
-    n_steps: int,
-    burn_in: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain under the per-sub-step rejection kernel on the retained band,
-    from the canonical start; returns the ``n_steps`` samples after
-    ``burn_in``."""
-    x = initial_state(ds, cfg)
-    if not spec.contains(x.A):
+    if band is not None and not band.contains(x.A):
         raise SimulationError("start state lies outside the retained band")
     tb, a = run_summary_chain(MarginalKernel(ds, cfg), (x.theta_bar, x.A), burn_in + n_steps,
-                              stream, band=spec)
+                              stream, band=band)
     return tb[burn_in:], a[burn_in:]
 
 

@@ -9,7 +9,6 @@ from driftbound.bound_core import (
     DerivedConstants,
     DriftParameters,
     MinorizationCertificate,
-    TailSequence,
     derive_alpha_lambda,
     derived_constants,
     evaluate_bound,
@@ -43,13 +42,6 @@ def test_minorization_certificate_bounds():
         MinorizationCertificate(epsilon=1.0, q_mass_lower=1.0)
     with pytest.raises(BoundError):
         MinorizationCertificate(epsilon=0.5, q_mass_lower=1.5)
-
-
-def test_tail_sequence_validation():
-    with pytest.raises(BoundError):
-        TailSequence(pi_exit_bound=-0.1)
-    with pytest.raises(BoundError):
-        TailSequence(pi_exit_bound=0.0, cumulative_exit_bound=lambda k: 1.0)
 
 
 def test_derived_constants_consistency_check():
@@ -150,7 +142,7 @@ def test_bound_frozen_oracle_k100():
     p = _params(0.5, 1.0, 10.0, 0.0)
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
-    val = evaluate_bound(p, m, dc, TailSequence(), 100)
+    val = evaluate_bound(p, m, dc, 100)
     # frozen from a 40-digit term-by-term reference evaluation
     assert val == pytest.approx(0.0083504197998679341, rel=1e-12)
     t1, t2 = _mp_bound(0.5, 1.0, 10.0, 0.0, 0.5, 100)
@@ -164,30 +156,19 @@ def test_bound_decays_beyond_crossover():
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
     ks = [1, 2, 5, 10, 20, 50, 100, 300, 1000, 10_000, 100_000, 1_000_000]
-    vals = [evaluate_bound(p, m, dc, TailSequence(), k) for k in ks]
+    vals = [evaluate_bound(p, m, dc, k) for k in ks]
     peak = int(np.argmax(vals))
     assert all(vals[i] >= vals[i + 1] for i in range(peak, len(vals) - 1))
     assert vals[-1] < 1e-12
     assert all(math.isfinite(v) for v in vals)
 
 
-def test_tail_terms_are_additive():
-    p = _params(0.5, 1.0, 10.0)
-    m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
-    dc = derived_constants(p, m)
-    base = evaluate_bound(p, m, dc, TailSequence(), 10)
-    tails = TailSequence(pi_exit_bound=0.01,
-                         cumulative_exit_bound=lambda k: 0.002 * k * (k + 1))
-    with_tails = evaluate_bound(p, m, dc, tails, 10)
-    assert with_tails == pytest.approx(base + 0.1 + 0.002 * 110, rel=1e-14)
-
-
 def test_classic_bound_k1_positive_finite():
-    # the classic certificate: the whole space as the good set, full
-    # minorization mass and no exit terms
+    # the classic certificate: the whole space as the good set and full
+    # minorization mass
     p = _params(0.5, 1.0, 10.0)
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
-    val = evaluate_bound(p, m, derived_constants(p, m), TailSequence(), 1)
+    val = evaluate_bound(p, m, derived_constants(p, m), 1)
     assert math.isfinite(val) and val > 0.0
 
 
@@ -200,17 +181,14 @@ def test_bound_monotone_in_mass_offset_and_start():
         k = int(rng.integers(2, 200))
         eps_q = rng.uniform(0.05, 0.9)
 
-        def value(b_=b, e0=0.0, eq=eps_q, pi=0.0):
+        def value(b_=b, e0=0.0, eq=eps_q):
             p = _params(lam, b_, d, e0)
             m = MinorizationCertificate(epsilon=eq, q_mass_lower=1.0)
-            dc = derived_constants(p, m)
-            tails = TailSequence(pi_exit_bound=pi)
-            return evaluate_bound(p, m, dc, tails, k)
+            return evaluate_bound(p, m, derived_constants(p, m), k)
 
         assert value(eq=min(eps_q * 1.1, 0.95)) <= value() * (1.0 + 1e-12)
         assert value(b_=b * 1.2) >= value() * (1.0 - 1e-12)
         assert value(e0=1.0) >= value()
-        assert value(pi=0.01) >= value()
 
 
 def test_no_overflow_for_huge_k():
@@ -218,7 +196,7 @@ def test_no_overflow_for_huge_k():
     m = MinorizationCertificate(epsilon=1e-6, q_mass_lower=0.5)
     dc = derived_constants(p, m)
     for k in (1, 1000, 1_000_000):
-        v = evaluate_bound(p, m, dc, TailSequence(), k)
+        v = evaluate_bound(p, m, dc, k)
         assert math.isfinite(v) and v >= 0.0
 
 
@@ -227,7 +205,7 @@ def test_evaluate_bound_k_validation():
     m = MinorizationCertificate(epsilon=0.5, q_mass_lower=1.0)
     dc = derived_constants(p, m)
     with pytest.raises(BoundError):
-        evaluate_bound(p, m, dc, TailSequence(), 0)
+        evaluate_bound(p, m, dc, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,38 @@ def test_invariants_named_in_errors():
         ExperimentConfig.from_dict({"model": {"V": -1.0}})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"k_max": "ten"}, "k_max"),
+    ({"model": {"V": "x"}}, "model.V"),
+    ({"data": {"synth": {"n": "abc", "center": 0.1}}}, "data.synth.n"),
+    ({"large_set_T": "a"}, "large_set_T"),
+    ({"plan": {"n_chains": None}}, "plan.n_chains"),
+    ({"model": [1, 2]}, "config.model"),
+    ({"threads": 1.5}, "threads"),
+    ({"data": {"synth": {"n": 100.9, "center": 0.1}}}, "data.synth.n"),
+    ({"seed": True}, "seed"),
+    ({"reference": {"burn_in": "0"}}, "reference.burn_in"),
+    ({"data": {"synth": [100, 0.1]}}, "data.synth"),
+    ({"data": {"file": 3}}, "data.file"),
+    ({"data": {"synth": {"n": 100, "center": 0.1, "exact_center": "no"}}},
+     "data.synth.exact_center"),
+])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, doc, key):
+    # a value of the wrong type is refused by name, not truncated or raised
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["bound-curve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be")
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_accepted_for_integer_keys():
+    cfg = ExperimentConfig.from_dict({"k_max": 12.0, "plan": {"n_chains": 400.0}})
+    assert type(cfg.k_max) is int and cfg.k_max == 12
+    assert type(cfg.plan["n_chains"]) is int and cfg.plan["n_chains"] == 400
+
+
 def test_large_set_override_validated_against_data(tmp_path):
     # T above the data center is rejected before any computation
     doc = small_config(large_set_T=0.5)

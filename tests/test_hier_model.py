@@ -4,7 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from driftbound import cli
 from driftbound.acceptance import _gibbs_sweeps
+from driftbound.bound_core import (
+    DriftParameters,
+    MinorizationCertificate,
+    derived_constants,
+    evaluate_bound,
+)
 from driftbound.hier_model import (
     BoundConstants,
     ChainState,
@@ -14,6 +21,7 @@ from driftbound.hier_model import (
     ModelConfig,
     ModelError,
     assemble_gibbs_bound,
+    bound_terms,
     check_data_assumption,
     conditional_S_moments,
     data_center,
@@ -490,14 +498,21 @@ def test_exit_budget_direct():
     cfg = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
     assert ds.delta / 99.0 == pytest.approx(3.0, rel=1e-12)
     spec = LargeSetSpec(T=1.0, center=data_center(ds, cfg))
-    tails, c2, c3, c4 = exit_budget(ds, cfg, spec, 1.0)
+    c2, c3, c4 = exit_budget(cfg, spec, 1.0)
     assert (c2, c3, c4) == pytest.approx((0.5, 3.0, 1.0), rel=1e-9)
+    bc = BoundConstants(
+        lambda_T=0.5, b_drift=1.0, d_small=5.0, T=1.0, center=2.0,
+        epsilon=0.5, q_mass_lower=1.0, alpha=1.2, Lambda=1.1, r=0.5,
+        gamma=0.5, log_inv_gamma=math.log(2.0), C1=4.0, C2=c2, C3=c3, C4=c4,
+    )
 
     def budget(k):
-        return k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
+        _, quadratic, sqrt = bound_terms(bc, ds.n, k)
+        return quadratic + sqrt
 
     assert budget(5) == pytest.approx(1.65, rel=1e-9)
     assert budget(0) == 0.0
+    assert np.all(np.diff(budget(np.arange(11))) > 0.0)
 
 
 def test_expected_inv_a_against_high_precision_reference():
@@ -594,6 +609,20 @@ def test_assembled_bound_recomputed_term_by_term(tight_report):
         assert float(report.certificate_raw[k - 1]) == pytest.approx(expect, rel=1e-10)
 
 
+def test_raw_bound_and_three_term_curve_share_their_exit_terms():
+    # the raw certificate is the restricted chain's coupling bound plus the
+    # curve's own exit terms, bit for bit, at every step
+    cfg = cli.load_config(None, {})
+    report = assemble_gibbs_bound(cfg.resolve_dataset(), cfg.model, k_max=100)
+    bc = report.constants
+    p = DriftParameters(lam=bc.lambda_T, b_drift=bc.b_drift, d_small=bc.d_small)
+    m = MinorizationCertificate(epsilon=bc.epsilon, q_mass_lower=bc.q_mass_lower)
+    dc = derived_constants(p, m)
+    exit_terms = report.term_sqrt + report.term_quadratic
+    for k in range(1, 101):
+        assert report.certificate_raw[k - 1] == evaluate_bound(p, m, dc, k) + exit_terms[k - 1]
+
+
 def test_assemble_rejects_small_level(tight_report):
     ds, report = tight_report
     bad = 1.9 * report.constants.b_drift / (1.0 - report.constants.lambda_T)
@@ -665,9 +694,7 @@ def test_extended_bound_reduces_at_zero_energy(tight_report):
     assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == 0.0
     for k in (1, 5, 40):
         got = extended_bound_general_start(x0, ds, TIGHT, k, report)
-        expect = float(report.term_geometric[k - 1] + report.term_quadratic[k - 1]
-                       + report.term_sqrt[k - 1])
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == report.three_term_total[k - 1]
 
 
 def test_extended_bound_monotone_in_start_energy(tight_report):

@@ -15,11 +15,11 @@ from driftbound.hier_model import (
     LargeSetSpec,
     ModelConfig,
     ModelError,
+    assemble_gibbs_bound,
     data_center,
     default_large_set,
     default_small_set_level,
     drift_offset_b,
-    exit_budget,
     expected_drift,
     initial_state,
     lambda_T,
@@ -35,7 +35,6 @@ from driftbound.simulation import (
     hitting_time_stats,
     run_ensemble,
     run_reference_chain,
-    run_restricted_chain,
     run_trace_chain,
     tv_from_counts,
 )
@@ -121,11 +120,11 @@ def test_ensemble_step_one_matches_exact_moment(tight100):
 
 def test_band_fraction_dominated_by_tail_budget(tight100):
     ds, spec, x0 = tight100
-    tails, *_ = exit_budget(ds, TIGHT, spec, drift_offset_b(ds, TIGHT, spec))
+    report = assemble_gibbs_bound(ds, TIGHT, large_set=spec, k_max=8)
     plan = SimulationPlan(n_chains=20_000, n_steps=8, seed=13)
     summary = run_ensemble(plan, ds, TIGHT, x0, large_set=spec, record_states=False)
     for k in range(1, 9):
-        budget = k * tails.pi_exit_bound + tails.cumulative_exit_bound(k)
+        budget = report.term_sqrt[k - 1] + report.term_quadratic[k - 1]
         assert 1.0 - summary.in_band_fraction[k - 1] <= budget + 1e-12
 
 
@@ -324,9 +323,13 @@ def test_summary_recursion_has_the_law_of_the_full_sweep(restricted):
 
 def test_restricted_chain_stays_in_band(tight100):
     ds, spec, _ = tight100
-    tb, aa = run_restricted_chain(ds, TIGHT, spec, RngStream(47, 0), 20_000, 1_000)
+    tb, aa = run_reference_chain(ds, TIGHT, RngStream(47, 0), 20_000, 1_000, band=spec)
     assert aa.min() >= spec.a_low and aa.max() <= spec.a_high
     assert tb.size == 20_000
+    # a band that misses the canonical start A = center = 0.1
+    with pytest.raises(SimulationError, match="outside the retained band"):
+        run_reference_chain(ds, TIGHT, RngStream(47, 0), 10, 0,
+                            band=LargeSetSpec(T=0.001, center=0.01))
 
 
 def test_trace_chain_collects_requested_samples():
