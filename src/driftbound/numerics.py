@@ -146,23 +146,32 @@ def _eval_array(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: returns (kronrod value, error estimate).
+def _gk15(f: Callable, panels: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Gauss-Kronrod 7-15 on each (lo, hi) panel, all abscissae in one call
+    of f: returns (kronrod value, error estimate) per panel, in panel order.
 
-    The error estimate is |K15 - G7|, which in practice overstates the true
-    K15 error by a wide margin; conservatism is deliberate because the
-    estimates feed certificate constants.
+    Each panel's sums are its own 15- and 7-term dot products scaled by its
+    own half-width, so a panel's result does not depend on which panels
+    share the call.  The error estimate is |K15 - G7|, which in practice
+    overstates the true K15 error by a wide margin; conservatism is
+    deliberate because the estimates feed certificate constants.
     """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _NODES
-    y = _eval_array(f, x)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
+    halves = [0.5 * (hi - lo) for lo, hi in panels]
+    mids = [0.5 * (hi + lo) for lo, hi in panels]
+    x = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
+    y = _eval_array(f, x.ravel()).reshape(x.shape)
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = x[~finite][0]
         raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
-    k = half * float(_KRONROD_W @ y)
-    g = half * float(_GAUSS_W @ y[_GAUSS_IDX])
-    return k, abs(k - g)
+    out = []
+    for half, yk in zip(halves, y):
+        # yk[_GAUSS_IDX] is a contiguous copy; a strided y[:, _GAUSS_IDX]
+        # row would be summed in another order
+        k = half * float(_KRONROD_W @ yk)
+        g = half * float(_GAUSS_W @ yk[_GAUSS_IDX])
+        out.append((k, abs(k - g)))
+    return out
 
 
 # The tolerance contract of every integral: convergence is declared when the
@@ -189,9 +198,9 @@ def _adaptive_gk(
     heap = []
     total_val = 0.0
     total_err = 0.0
-    for i in range(len(edges) - 1):
-        val, err = _gk15(f, edges[i], edges[i + 1])
-        heapq.heappush(heap, (-err, i, edges[i], edges[i + 1], val, err))
+    spans = list(zip(edges[:-1], edges[1:]))
+    for i, ((lo, hi), (val, err)) in enumerate(zip(spans, _gk15(f, spans))):
+        heapq.heappush(heap, (-err, i, lo, hi, val, err))
         total_val += val
         total_err += err
 
@@ -212,8 +221,7 @@ def _adaptive_gk(
                 total_val,
                 total_err,
             )
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        (v1, e1), (v2, e2) = _gk15(f, [(lo, mid), (mid, hi)])
         total_val += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, tie, lo, mid, v1, e1))
@@ -232,7 +240,14 @@ def integrate_with_error(
     b: float,
     breakpoints: Sequence[float] | None = None,
 ) -> tuple[float, float]:
-    """Adaptive integral of f on [a, b]: returns (value, error estimate)."""
+    """Adaptive integral of f on [a, b]: returns (value, error estimate).
+
+    f takes a 1-D array of abscissae and returns its values there, with the
+    same shape.  It must be elementwise: its value at x may not depend on
+    the other abscissae of the call, because one call carries every panel
+    of a refinement step (all starting panels, then both halves of each
+    split).
+    """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise NumericsError(f"need finite a < b, got a={a!r}, b={b!r}")
     return _adaptive_gk(f, float(a), float(b), breakpoints)
@@ -244,7 +259,10 @@ def integrate(
     b: float,
     breakpoints: Sequence[float] | None = None,
 ) -> float:
-    """Adaptive integral of f on [a, b], to an error estimate of 1e-8 relative."""
+    """Adaptive integral of f on [a, b], to an error estimate of 1e-8 relative.
+
+    f must be elementwise, as :func:`integrate_with_error` states.
+    """
     return integrate_with_error(f, a, b, breakpoints)[0]
 
 
@@ -256,6 +274,7 @@ def integrate_halfline(
 
     The image integral is ``f(u/(1-u)) / (1-u)^2`` on (0, 1); Kronrod nodes
     never touch the endpoints, so f is only evaluated at interior points.
+    f must be elementwise, as :func:`integrate_with_error` states.
     Optional breakpoints (in the original variable) are mapped through the
     substitution, which lets callers pre-split around known sharp modes.
     """

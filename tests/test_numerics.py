@@ -1,9 +1,11 @@
+import heapq
 import math
+import re
 
 import numpy as np
 import pytest
 
-from driftbound import numerics
+from driftbound import cli, minorization, numerics
 from driftbound.numerics import (
     NumericsError,
     QuadratureError,
@@ -116,6 +118,172 @@ def test_integrand_of_wrong_shape_rejected():
         integrate(lambda x: 1.0, 0.0, 1.0)
     with pytest.raises(NumericsError, match="shape"):
         integrate_halfline(lambda x: np.exp(-x)[:-1])
+
+
+# ---------------------------------------------------------------------------
+# one integrand call per refinement step, bit for bit
+# ---------------------------------------------------------------------------
+
+# The adaptive loop as it was when each panel took its own integrand call:
+# the reference that the batched loop must reproduce bit for bit.
+
+
+def _sequential_gk15(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = mid + half * numerics._NODES
+    y = numerics._eval_array(f, x)
+    if not np.all(np.isfinite(y)):
+        bad = x[~np.isfinite(y)][0]
+        raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
+    k = half * float(numerics._KRONROD_W @ y)
+    g = half * float(numerics._GAUSS_W @ y[numerics._GAUSS_IDX])
+    return k, abs(k - g)
+
+
+def _sequential_gk(f, a, b, breakpoints=None):
+    edges = [a, b]
+    if breakpoints:
+        edges.extend(p for p in breakpoints if a < p < b)
+    edges = sorted(set(edges))
+    heap = []
+    total_val = 0.0
+    total_err = 0.0
+    for i in range(len(edges) - 1):
+        val, err = _sequential_gk15(f, edges[i], edges[i + 1])
+        heapq.heappush(heap, (-err, i, edges[i], edges[i + 1], val, err))
+        total_val += val
+        total_err += err
+    tie = len(heap)
+    n_panels = len(heap)
+    while total_err > max(numerics._ABS_FLOOR, numerics._REL_TOL * abs(total_val)):
+        if n_panels >= numerics._MAX_PANELS:
+            raise QuadratureError("did not converge", total_val, total_err)
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise QuadratureError("interval collapsed", total_val, total_err)
+        v1, e1 = _sequential_gk15(f, lo, mid)
+        v2, e2 = _sequential_gk15(f, mid, hi)
+        total_val += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, tie, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, tie + 1, mid, hi, v2, e2))
+        tie += 2
+        n_panels += 1
+    total_val = math.fsum(item[4] for item in heap)
+    total_err = math.fsum(item[5] for item in heap)
+    return total_val, total_err
+
+
+def _peaked(x):
+    return np.exp(-0.5 * ((x - 0.3) / 0.003) ** 2) + 1.0 / (1.0 + x**2)
+
+
+_PEAKED = (_peaked, -1.0, 2.0, [0.29, 0.3, 1.5])
+
+
+def _captured_integrals(monkeypatch, module, run):
+    """The (f, a, b, breakpoints) of every ``module.integrate`` call made by run()."""
+    calls = []
+    real = module.integrate
+
+    def recording(f, a, b, breakpoints=None):
+        calls.append((f, a, b, breakpoints))
+        return real(f, a, b, breakpoints)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "integrate", recording)
+        run()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def certificate_integrals(tmp_path_factory):
+    """The three certificate quadratures of the default config at n = 100
+    and 6400, as the certify sweep makes them."""
+    out = tmp_path_factory.mktemp("sweep")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _captured_integrals(
+            mp, minorization,
+            lambda: cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(out)]),
+        )
+    assert len(calls) == 6
+    return calls
+
+
+def _halfline_integral(monkeypatch):
+    pdf = _inv_gamma_pdf(5.0, 4.0)
+    (call,) = _captured_integrals(monkeypatch, numerics, lambda: integrate_halfline(pdf))
+    return call
+
+
+def _assert_bitwise(f, a, b, breakpoints):
+    batched = integrate_with_error(f, a, b, breakpoints)
+    sequential = _sequential_gk(f, float(a), float(b), breakpoints)
+    assert [v.hex() for v in batched] == [v.hex() for v in sequential]
+
+
+@pytest.mark.parametrize("f,a,b,exact", _CLOSED_FORMS)
+def test_batched_closed_forms_match_sequential_bitwise(f, a, b, exact):
+    _assert_bitwise(f, a, b, None)
+
+
+def test_batched_peaked_and_halfline_match_sequential_bitwise(monkeypatch):
+    _assert_bitwise(*_PEAKED)
+    _assert_bitwise(*_halfline_integral(monkeypatch))
+
+
+def test_batched_certificate_integrals_match_sequential_bitwise(certificate_integrals):
+    for call in certificate_integrals:
+        _assert_bitwise(*call)
+
+
+def _counted(f):
+    record = {"calls": 0, "points": 0}
+
+    def counting(x):
+        record["calls"] += 1
+        record["points"] += x.size
+        return f(x)
+
+    return counting, record
+
+
+def _assert_one_call_per_step(f, a, b, breakpoints):
+    counting, record = _counted(f)
+    integrate_with_error(counting, a, b, breakpoints)
+    initial = len({a, b, *(p for p in breakpoints or () if a < p < b)}) - 1
+    splits, rest = divmod(record["points"] // 15 - initial, 2)
+    assert record["points"] % 15 == 0 and rest == 0
+    assert splits > 0
+    assert record["calls"] == 1 + splits
+
+
+def test_one_integrand_call_per_refinement_step(certificate_integrals):
+    _assert_one_call_per_step(*_PEAKED)
+    for call in certificate_integrals:
+        _assert_one_call_per_step(*call)
+
+
+def test_nonfinite_value_deep_in_the_refinement_names_its_panel():
+    # the peak at 0.3 is split seven times before the halves of
+    # [0.296875, 0.3125] are evaluated; only the center of the right half,
+    # 0.30859375, is NaN
+    lo, hi = 0.3046875, 0.3125
+
+    def f(x):
+        return np.where(x == 0.5 * (lo + hi), np.nan, np.exp(-0.5 * ((x - 0.3) / 0.003) ** 2))
+
+    counting, record = _counted(f)
+    with pytest.raises(NumericsError, match="non-finite") as batched:
+        integrate(counting, 0.0, 1.0)
+    assert record["calls"] == 8
+    bad = float(re.search(r"x=np\.float64\((.*)\)", str(batched.value)).group(1))
+    assert lo < bad < hi
+    with pytest.raises(NumericsError) as sequential:
+        _sequential_gk(f, 0.0, 1.0)
+    assert str(batched.value) == str(sequential.value)
 
 
 # ---------------------------------------------------------------------------
