@@ -107,10 +107,17 @@ _REF_KEYS = {"n_steps", "burn_in"}
 
 
 def _number(value, key: str) -> float:
-    """A JSON number as a float; booleans, strings and null are refused."""
+    """A JSON number as a finite float; booleans, strings, null and
+    non-finite values (Infinity, NaN, or past the float range) are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, key: str) -> int:
@@ -224,12 +231,14 @@ class ExperimentConfig:
             raw=merged,
         )
 
-    def resolve_dataset(self) -> Dataset:
+    def resolve_dataset(self, n: int | None = None) -> Dataset:
+        """The configured observations; ``n`` replaces the synthetic sample
+        size, as ``sweep-n`` does for each row."""
         if "file" in self.data_source:
             return load_observations(Path(self.data_source["file"]))
         synth = self.data_source["synth"]
         return synth_dataset(
-            int(synth["n"]),
+            int(synth["n"] if n is None else n),
             float(synth["center"]),
             self.model,
             RngStream(self.seed, DATA_STREAM),
@@ -436,14 +445,9 @@ def cmd_sweep_n(cfg: ExperimentConfig, n_list: list[int], out_dir: Path) -> int:
     rows = []
     d_fixed = cfg.small_set_d
     nan = float("nan")
-    synth = cfg.data_source["synth"]
     for n in n_list:
         try:
-            ds = synth_dataset(
-                int(n), float(synth["center"]), cfg.model,
-                RngStream(cfg.seed, DATA_STREAM),
-                exact_center=bool(synth.get("exact_center", False)),
-            )
+            ds = cfg.resolve_dataset(n)
             report = assemble_gibbs_bound(
                 ds, cfg.model,
                 large_set=cfg.resolve_large_set(ds),
@@ -629,8 +633,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth-data":
             if args.n < 2:
                 raise ConfigError("--n must be at least 2")
-            if not (args.center > 0.0):
-                raise ConfigError("--center must be positive")
+            if not (0.0 < args.center < math.inf):
+                raise ConfigError("--center must be positive and finite")
             data_out = Path(args.data_out) if args.data_out else out_dir / "data.txt"
             return cmd_synth_data(cfg, args.n, args.center, data_out)
         if args.command == "bound-curve":

@@ -16,7 +16,8 @@ its exact one-step conditional expectation (composed from closed-form
 conditional moments, no sampling), the contraction factor and its threshold
 version on the retained A-band, the closed-form drift offset, the
 certificate's exit budget and the one evaluator of the bound's terms, the
-end-to-end certificate assembly, and the posterior functional E[1/A], which
+end-to-end certificate assembly, which takes the chain's start and carries
+its energy through every term, and the posterior functional E[1/A], which
 no certificate constant uses: only ``bound-curve``'s report and acceptance
 criterion 6 compute it.
 """
@@ -60,7 +61,6 @@ __all__ = [
     "bound_terms",
     "expected_inv_A",
     "assemble_gibbs_bound",
-    "extended_bound_general_start",
     "synth_dataset",
 ]
 
@@ -181,7 +181,8 @@ class LargeSetSpec:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Full certificate constants for one dataset/config/threshold triple."""
+    """Full certificate constants for one dataset/config/threshold triple
+    and one start, whose energy is ``f0``."""
 
     lambda_T: float
     b_drift: float
@@ -198,7 +199,7 @@ class BoundConstants:
     C1: float
     C2: float
     C3: float
-    C4: float
+    f0: float
 
 
 @dataclass(frozen=True)
@@ -206,12 +207,15 @@ class GibbsBoundReport:
     """Certificate constants plus evaluated bound curves and step thresholds.
 
     ``term_geometric``/``term_quadratic``/``term_sqrt`` are the three-term
-    curve C1*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) split by term, from
-    :func:`bound_terms`; ``certificate_raw`` (not clamped) is the restricted
-    chain's coupling-form bound plus the same exit terms
-    ``term_sqrt + term_quadratic``.  The posterior functional E[1/A] is no
-    part of a certificate: ``bound-curve`` computes it with
-    :func:`expected_inv_A` for its report alone.
+    curve (C1 + f0)*gamma^k + C2*k(1+k)/n + f0*k/(n*gap^2) + C3*k/sqrt(n)
+    split by term, from :func:`bound_terms`, for the start of energy f0;
+    ``certificate_raw`` (not clamped) is the restricted chain's
+    coupling-form bound from that start plus the same exit terms
+    ``term_sqrt + term_quadratic``.  ``K_bar`` and ``N_c`` read only
+    C1..C3: they are the thresholds of the canonical start (f0 = 0),
+    whatever the start.  The posterior functional E[1/A] is no part of a
+    certificate: ``bound-curve`` computes it with :func:`expected_inv_A`
+    for its report alone.
     """
 
     n: int
@@ -457,29 +461,32 @@ def exit_budget(
     cfg: ModelConfig,
     spec: LargeSetSpec,
     b: float,
-) -> tuple[float, float, float]:
-    """Constants (C2, C3, C4) of the certificate's budget for leaving the
+) -> tuple[float, float]:
+    """Constants (C2, C3) of the certificate's budget for leaving the
     retained band; :func:`bound_terms` evaluates it.
 
     With gap = center - T, the stationary mass outside the band is bounded
     per step by C3/sqrt(n) with C3 = sqrt(b)*(2V/delta_margin + 1)/gap, and
-    the chain's own exits from the canonical start through step k by
-    C2*k(1+k)/n with C2 = b/(2 gap^2); C4 = 1/gap^2 carries a start energy
-    (see :func:`extended_bound_general_start`).
+    the chain's own exits through step k by C2*k(1+k)/n with
+    C2 = b/(2 gap^2), plus f0*k/(n gap^2) for a start of energy f0 (in the
+    band E[f(X_i)] <= f0 + i*b, and outside it f >= n*gap^2).
     """
     gap = spec.center - spec.T
     spread = 2.0 * cfg.V / cfg.delta_margin + 1.0
-    return b / (2.0 * gap**2), math.sqrt(b) * spread / gap, 1.0 / gap**2
+    return b / (2.0 * gap**2), math.sqrt(b) * spread / gap
 
 
 def bound_terms(constants: BoundConstants, n: int, k):
-    """The three terms (C1*gamma^k, C2*k(1+k)/n, C3*k/sqrt(n)) of the bound
-    at step k for sample size n: the restricted chain's geometric decay, the
+    """The three terms ((C1 + f0)*gamma^k, C2*k(1+k)/n + f0*k/(n*gap^2),
+    C3*k/sqrt(n)) of the bound at step k for sample size n, start energy f0
+    and gap = center - T: the restricted chain's geometric decay, the
     chain's own exits from the band through step k, and k steps of
-    stationary mass outside it.  Array-friendly in k.
+    stationary mass outside it.  At f0 = 0 the start adds exact zeros.
+    Array-friendly in k.
     """
-    return (constants.C1 * np.exp(-constants.log_inv_gamma * k),
-            constants.C2 * k * (1.0 + k) / n,
+    gap = constants.center - constants.T
+    return ((constants.C1 + constants.f0) * np.exp(-constants.log_inv_gamma * k),
+            constants.C2 * k * (1.0 + k) / n + constants.f0 * k / (n * gap**2),
             constants.C3 * k / math.sqrt(n))
 
 
@@ -565,15 +572,20 @@ def assemble_gibbs_bound(
     d: float | None = None,
     k_max: int = 200,
     mix_target_c: float = 0.25,
+    *,
+    start: ChainState | None = None,
 ) -> GibbsBoundReport:
-    """Compute every certificate constant and the bound curves up to k_max.
+    """Compute every certificate constant and the bound curves up to k_max
+    for a chain started at ``start`` (default :func:`initial_state`).
 
     The minorization volume comes from the product-of-infima construction
     over the small-set box, and the mass of the constructed uniform
     component on the retained band is evaluated directly by quadrature; the
     exit terms come from :func:`exit_budget` and :func:`bound_terms`.
     ``large_set`` must be centered at the data center, as the small set is;
-    d defaults to :func:`default_small_set_level`.
+    d defaults to :func:`default_small_set_level`.  ``start`` must lie in
+    the retained band, where the drift inequality and the exit budget hold;
+    its energy f0 enters the coupling bound and :func:`bound_terms`.
     """
     from . import minorization  # local import; minorization depends on this module
 
@@ -584,6 +596,12 @@ def assemble_gibbs_bound(
     if abs(spec.center - c) > _REL_TOL * c:
         raise ModelError(f"large set centered at {spec.center!r}, not at the data center "
                          f"{c!r} where the small set {{f <= d}} sits")
+    if start is None:
+        start = initial_state(ds, cfg)
+    if not spec.contains(start.A):
+        raise ModelError(f"start A={start.A!r} lies outside the retained band "
+                         f"[{spec.a_low!r}, {spec.a_high!r}]")
+    f0 = drift_value_summary(start.theta_bar, start.A, ds, cfg)
     lam_t = lambda_T(spec, cfg.V)
     b = drift_offset_b(ds, cfg, spec)
     if d is None:
@@ -601,18 +619,18 @@ def assemble_gibbs_bound(
     if q <= 0.0:
         raise ModelError("no positive lower bound on the uniform-component band mass")
 
-    p = DriftParameters(lam=lam_t, b_drift=b, d_small=d, initial_drift_expectation=0.0)
+    p = DriftParameters(lam=lam_t, b_drift=b, d_small=d, initial_drift_expectation=f0)
     m = MinorizationCertificate(epsilon=eps, q_mass_lower=q)
     dc = derived_constants(p, m)
 
     c1 = 2.0 + b / (1.0 - lam_t)
-    c2, c3, c4 = exit_budget(cfg, spec, b)
+    c2, c3 = exit_budget(cfg, spec, b)
     constants = BoundConstants(
         lambda_T=lam_t, b_drift=b, d_small=d, T=spec.T, center=c,
         epsilon=eps, q_mass_lower=q,
         alpha=dc.alpha, Lambda=dc.Lambda, r=dc.r, gamma=dc.gamma,
         log_inv_gamma=dc.log_inv_gamma,
-        C1=c1, C2=c2, C3=c3, C4=c4,
+        C1=c1, C2=c2, C3=c3, f0=f0,
     )
 
     ks = np.arange(1, k_max + 1)
@@ -637,30 +655,3 @@ def assemble_gibbs_bound(
         N_c=n_c,
         mix_target_c=mix_target_c,
     )
-
-
-def extended_bound_general_start(
-    x0: ChainState,
-    ds: Dataset,
-    cfg: ModelConfig,
-    k: int,
-    report: GibbsBoundReport,
-) -> float:
-    """Bound for a chain started at any state of the margin band A in
-    [delta_margin, 2*center - delta_margin]:
-
-        (C1 + f(x0)) * gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) + C4*f(x0)*k/n
-
-    The C4 term keeps the start-energy contribution of the step-wise exit
-    budget E[f at step i] <= f(x0) + i*b, whence C4 = 1/(center - T)^2.
-    """
-    if k < 0:
-        raise ModelError("k must be >= 0")
-    c = report.constants.center
-    margin_band = LargeSetSpec(T=min(cfg.delta_margin, c * (1.0 - 1e-12)), center=c)
-    if not margin_band.contains(x0.A):
-        raise ModelError("no bound available outside the large set")
-    f0 = drift_value_summary(x0.theta_bar, x0.A, ds, cfg)
-    bc = report.constants
-    start = f0 * (math.exp(-bc.log_inv_gamma * k) + bc.C4 * k / ds.n)
-    return float(sum(bound_terms(bc, ds.n, k)) + start)

@@ -72,6 +72,10 @@ def test_invariants_named_in_errors():
     ({"data": {"file": 3}}, "data.file"),
     ({"data": {"synth": {"n": 100, "center": 0.1, "exact_center": "no"}}},
      "data.synth.exact_center"),
+    ({"validate_scale": math.inf}, "validate_scale"),
+    ({"data": {"synth": {"n": 100, "center": math.inf}}}, "data.synth.center"),
+    ({"model": {"V": math.nan}}, "model.V"),
+    ({"mix_target_c": 10**400}, "mix_target_c"),
 ])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, doc, key):
     # a value of the wrong type is refused by name, not truncated or raised
@@ -155,6 +159,17 @@ def test_synth_data_rejects_n_below_two(tmp_path):
     assert rc == 1
 
 
+def test_non_finite_command_line_numbers_are_config_errors(tmp_path, capsys):
+    rc = cli.main(["validate", "--only", "2", "--scale", "inf", "--out", str(tmp_path / "v")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: validate_scale must be a finite number")
+    rc = cli.main(["synth-data", "--n", "60", "--center", "inf", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: --center must be positive and finite")
+    assert not (tmp_path / "v").exists() and not (tmp_path / "s").exists()
+
+
 def test_synth_data_fails_when_margin_unreachable(tmp_path):
     # margin far above the marginal variance V + center cannot be met
     doc = small_config(model={"V": 8e-4, "a": 3.0, "b": 0.2, "delta": 5.0})
@@ -209,7 +224,7 @@ def test_bound_report_key_set(curve_run):
                         "certificate_clamped"}
     assert set(doc["constants"]) == {
         "lambda_T", "b_drift", "d_small", "T", "center", "epsilon", "q_mass_lower",
-        "alpha", "Lambda", "r", "gamma", "log_inv_gamma", "C1", "C2", "C3", "C4",
+        "alpha", "Lambda", "r", "gamma", "log_inv_gamma", "C1", "C2", "C3", "f0",
     }
 
 

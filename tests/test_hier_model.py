@@ -32,7 +32,6 @@ from driftbound.hier_model import (
     exit_budget,
     expected_drift,
     expected_inv_A,
-    extended_bound_general_start,
     initial_state,
     lambda_T,
     lambda_factor,
@@ -498,12 +497,12 @@ def test_exit_budget_direct():
     cfg = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
     assert ds.delta / 99.0 == pytest.approx(3.0, rel=1e-12)
     spec = LargeSetSpec(T=1.0, center=data_center(ds, cfg))
-    c2, c3, c4 = exit_budget(cfg, spec, 1.0)
-    assert (c2, c3, c4) == pytest.approx((0.5, 3.0, 1.0), rel=1e-9)
+    c2, c3 = exit_budget(cfg, spec, 1.0)
+    assert (c2, c3) == pytest.approx((0.5, 3.0), rel=1e-9)
     bc = BoundConstants(
         lambda_T=0.5, b_drift=1.0, d_small=5.0, T=1.0, center=2.0,
         epsilon=0.5, q_mass_lower=1.0, alpha=1.2, Lambda=1.1, r=0.5,
-        gamma=0.5, log_inv_gamma=math.log(2.0), C1=4.0, C2=c2, C3=c3, C4=c4,
+        gamma=0.5, log_inv_gamma=math.log(2.0), C1=4.0, C2=c2, C3=c3, f0=0.0,
     )
 
     def budget(k):
@@ -610,17 +609,23 @@ def test_assembled_bound_recomputed_term_by_term(tight_report):
 
 
 def test_raw_bound_and_three_term_curve_share_their_exit_terms():
-    # the raw certificate is the restricted chain's coupling bound plus the
-    # curve's own exit terms, bit for bit, at every step
+    # the raw certificate is the restricted chain's coupling bound from the
+    # start plus the curve's own exit terms, bit for bit, at every step, for
+    # the canonical start and for one of positive energy
     cfg = cli.load_config(None, {})
-    report = assemble_gibbs_bound(cfg.resolve_dataset(), cfg.model, k_max=100)
-    bc = report.constants
-    p = DriftParameters(lam=bc.lambda_T, b_drift=bc.b_drift, d_small=bc.d_small)
-    m = MinorizationCertificate(epsilon=bc.epsilon, q_mass_lower=bc.q_mass_lower)
-    dc = derived_constants(p, m)
-    exit_terms = report.term_sqrt + report.term_quadratic
-    for k in range(1, 101):
-        assert report.certificate_raw[k - 1] == evaluate_bound(p, m, dc, k) + exit_terms[k - 1]
+    ds = cfg.resolve_dataset()
+    off_center = ChainState(ds.y_bar + 0.01, data_center(ds, cfg.model) - 0.005)
+    for start in (None, off_center):
+        report = assemble_gibbs_bound(ds, cfg.model, k_max=100, start=start)
+        bc = report.constants
+        assert (bc.f0 > 0.0) == (start is not None)
+        p = DriftParameters(lam=bc.lambda_T, b_drift=bc.b_drift, d_small=bc.d_small,
+                            initial_drift_expectation=bc.f0)
+        m = MinorizationCertificate(epsilon=bc.epsilon, q_mass_lower=bc.q_mass_lower)
+        dc = derived_constants(p, m)
+        exit_terms = report.term_sqrt + report.term_quadratic
+        for k in range(1, 101):
+            assert report.certificate_raw[k - 1] == evaluate_bound(p, m, dc, k) + exit_terms[k - 1]
 
 
 def test_assemble_rejects_small_level(tight_report):
@@ -684,59 +689,73 @@ def test_assemble_order_one_scales_hits_float_rate_floor():
 
 
 # ---------------------------------------------------------------------------
-# general-start bound
+# the certificate's start
 # ---------------------------------------------------------------------------
 
 
-def test_extended_bound_reduces_at_zero_energy(tight_report):
+def test_canonical_start_is_the_default_bit_for_bit(tight_report):
     ds, report = tight_report
     x0 = initial_state(ds, TIGHT)
     assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == 0.0
-    for k in (1, 5, 40):
-        got = extended_bound_general_start(x0, ds, TIGHT, k, report)
-        assert got == report.three_term_total[k - 1]
+    got = assemble_gibbs_bound(ds, TIGHT, k_max=40, start=x0)
+    assert report.constants.f0 == 0.0
+    for name in GibbsBoundReport.__dataclass_fields__:
+        want, have = getattr(report, name), getattr(got, name)
+        if isinstance(want, np.ndarray):
+            want, have = want.tobytes(), have.tobytes()
+        assert have == want, name
 
 
-def test_extended_bound_monotone_in_start_energy(tight_report):
-    ds, report = tight_report
-    c = report.constants.center
-    vals = []
-    for offset in (0.0, 0.005, 0.01):
-        x0 = ChainState(theta_bar=ds.y_bar, A=c - offset)
-        vals.append(extended_bound_general_start(x0, ds, TIGHT, 10, report))
-    assert vals[0] <= vals[1] <= vals[2]
+def test_bound_is_monotone_in_start_energy(tight_report):
+    # at k = 10 the totals are those of the former general-start form
+    # (C1 + f0)*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) + f0*k/(n*gap^2),
+    # frozen from its last evaluation
+    ds, _ = tight_report
+    c = data_center(ds, TIGHT)
+    frozen = (9.626833831960525, 9.729332558608165, 10.036828738551085)
+    reports = []
+    for offset, expect in zip((0.0, 0.005, 0.01), frozen):
+        report = assemble_gibbs_bound(ds, TIGHT, k_max=40,
+                                      start=ChainState(theta_bar=ds.y_bar, A=c - offset))
+        assert report.three_term_total[9] == pytest.approx(expect, rel=1e-14, abs=0.0)
+        reports.append(report)
+    for lo, hi in zip(reports, reports[1:]):
+        assert lo.constants.f0 < hi.constants.f0
+        assert np.all(lo.three_term_total < hi.three_term_total)
+        assert np.all(lo.certificate_raw < hi.certificate_raw)
+        assert (lo.K_bar, lo.N_c) == (hi.K_bar, hi.N_c)
 
 
-def test_extended_bound_rejects_outside_margin_band(tight_report):
-    ds, report = tight_report
-    x_out = ChainState(theta_bar=ds.y_bar, A=1e-4)
-    with pytest.raises(ModelError, match="outside the large set"):
-        extended_bound_general_start(x_out, ds, TIGHT, 3, report)
+def test_start_outside_the_band_rejected():
+    # the drift inequality and the exit budget hold on the certificate's own
+    # band [T, 2*center - T]; at T = 0.09 a start at A = 0.085 lies outside
+    # it although it lies above delta_margin = 0.08
+    for n, T, A in ((100, None, 1e-4), (100, None, 0.2), (6400, 0.09, 0.085)):
+        ds = tight_data(n)
+        spec = None if T is None else LargeSetSpec(T=T, center=data_center(ds, TIGHT))
+        with pytest.raises(ModelError, match="outside the retained band"):
+            assemble_gibbs_bound(ds, TIGHT, large_set=spec, k_max=5,
+                                 start=ChainState(theta_bar=ds.y_bar, A=A))
 
 
-def test_extended_bound_log_n_steps_suffice_for_order_one_rate():
-    # with order-one constants and a moderate band gap, the general-start
-    # form drops below 0.25 within O(log n) steps even from a start energy
-    # of n/(2 log n); certificate-derived constants reach this regime only
+def test_log_n_steps_suffice_for_order_one_rate():
+    # with order-one constants and a moderate band gap (1/gap^2 = 0.2), the
+    # bound from a start energy of n/(2 log n) drops below 0.25 within
+    # O(log n) steps; certificate-derived constants reach this regime only
     # past their own (much larger) sample-size threshold
     n = 10_000
     ds = synth_dataset(n, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
+    f0 = n / (2.0 * math.log(n))
+    x0 = ChainState(theta_bar=ds.y_bar + math.sqrt(f0 / n), A=data_center(ds, TIGHT))
+    assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == pytest.approx(f0, rel=1e-9)
     gamma = 0.4
+    center = 2.5
     bc = BoundConstants(
-        lambda_T=0.1, b_drift=0.02, d_small=0.05, T=0.05, center=0.1,
+        lambda_T=0.1, b_drift=0.02, d_small=0.05, T=center - math.sqrt(5.0), center=center,
         epsilon=0.5, q_mass_lower=1.0, alpha=1.2, Lambda=1.1, r=0.5,
         gamma=gamma, log_inv_gamma=-math.log(gamma),
-        C1=2.1, C2=0.3, C3=0.3, C4=0.2,
+        C1=2.1, C2=0.3, C3=0.3, f0=f0,
     )
-    ks = np.array([1.0])
-    report = GibbsBoundReport(
-        n=n, constants=bc, k_values=ks, certificate_raw=ks, certificate_clamped=ks,
-        term_geometric=ks, term_quadratic=ks, term_sqrt=ks, three_term_total=ks,
-        three_term_clamped=ks, K_bar=1, N_c=1, mix_target_c=0.25,
-    )
-    f0 = n / (2.0 * math.log(n))
-    x0 = ChainState(theta_bar=ds.y_bar + math.sqrt(f0 / n), A=0.1)
-    assert drift_value_summary(x0.theta_bar, x0.A, ds, TIGHT) == pytest.approx(f0, rel=1e-9)
+    assert 1.0 / (bc.center - bc.T) ** 2 == pytest.approx(0.2, rel=1e-12)
     k = int(1.2 * math.log(n))
-    val = extended_bound_general_start(x0, ds, TIGHT, k, report)
-    assert val < 0.25
+    assert sum(bound_terms(bc, n, k)) < 0.25
