@@ -7,14 +7,17 @@ against empirical binned distances, quadrature functionals against chain
 averages, coupling-side inequalities against simulated return times, and
 the CLI against byte-level reproducibility.
 
-Each criterion is a function returning a :class:`CriterionResult`; the
-``scale`` argument multiplies sample counts for smoke runs (1.0 reproduces
-the full-size suite used by the pytest acceptance module and
-``driftbound validate``).
+Each criterion's body returns its verdict and measurements; one runner,
+the private decorator ``_criterion``, names, times and records every
+criterion, so each public ``criterion_<k>_*`` returns a
+:class:`CriterionResult`.  The ``scale`` argument multiplies sample counts
+for smoke runs (1.0 reproduces the full-size suite used by the pytest
+acceptance module and ``driftbound validate``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -238,6 +241,26 @@ def _one_step_energy_mc(ds, cfg, center, theta_bar, a_val, n_draws, stream):
 # ---------------------------------------------------------------------------
 
 
+def _criterion(name: str, threshold: str):
+    """Turn a check ``body(scale) -> (passed, measured)`` into the criterion
+    ``name``: the criterion times the body and returns its
+    :class:`CriterionResult` against ``threshold``."""
+    def runner(body):
+        @functools.wraps(body)
+        def criterion(scale: float = 1.0) -> CriterionResult:
+            clock = time.monotonic
+            t0 = clock()
+            passed, measured = body(scale)
+            return CriterionResult(name, passed, measured, threshold, clock() - t0)
+        return criterion
+    return runner
+
+
+# Criterion 1's Sidak threshold on the largest of its |z|: the family-wise
+# rate over its states is that of one |z| <= 3 test.
+_Z_MAX = -ndtri(-0.5 * math.expm1(math.log1p(-2.0 * ndtr(-3.0)) / len(_STREAMS["1 states"])))
+
+
 def _criterion_1_abs_z(n_draws: int, workers: int) -> list[float]:
     """|z| of the full-kernel Monte Carlo one-sweep energy against the exact
     moment at each of criterion 1's 50 states, in state order.
@@ -266,32 +289,24 @@ def _criterion_1_abs_z(n_draws: int, workers: int) -> list[float]:
         return list(pool.map(abs_z, states))
 
 
-def criterion_1_exact_moment_oracle(scale: float = 1.0) -> CriterionResult:
+@_criterion("1 exact-moment oracle",
+            f"max |z| <= {_Z_MAX:.2f} (Sidak: family-wise rate of one |z| <= 3 test)")
+def criterion_1_exact_moment_oracle(scale: float = 1.0) -> tuple[bool, dict]:
     """One-sweep expected energy matches a full-kernel Monte Carlo average
     at 50 random states (n=100, center=2, V=1): the largest |z| stays under
     the Sidak threshold whose family-wise rate is that of one |z| <= 3 test.
     The states run on one thread per available CPU; the result is the same
     on any number."""
-    t0 = time.monotonic()
     n_states = len(_STREAMS["1 states"])
     n_draws = _count(1_000_000, scale, floor=20_000)
     workers = min(n_states, len(os.sched_getaffinity(0)))
     worst = max(_criterion_1_abs_z(n_draws, workers))
-    alpha = 2.0 * ndtr(-3.0)
-    z_max = -ndtri(-0.5 * math.expm1(math.log1p(-alpha) / n_states))
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="1 exact-moment oracle",
-        passed=worst <= z_max,
-        measured={"max_abs_z": round(worst, 3), "states": n_states, "draws": n_draws},
-        threshold=f"max |z| <= {z_max:.2f} (Sidak: family-wise rate of one |z| <= 3 test)",
-        seconds=seconds,
-    )
+    return worst <= _Z_MAX, {"max_abs_z": round(worst, 3), "states": n_states, "draws": n_draws}
 
 
-def criterion_2_drift_inequality(scale: float = 1.0) -> CriterionResult:
+@_criterion("2 drift inequality", "0 violations")
+def criterion_2_drift_inequality(scale: float = 1.0) -> tuple[bool, dict]:
     """Zero violations of the contraction inequality over 10^4 random band states."""
-    t0 = time.monotonic()
     cfg, center = _classic_model()
     ds = _dataset(cfg, 100, center)
     spec = default_large_set(ds, cfg)
@@ -303,19 +318,12 @@ def criterion_2_drift_inequality(scale: float = 1.0) -> CriterionResult:
     lhs = expected_drift(tb, a_val, ds, cfg)
     rhs = lambda_factor(a_val, cfg.V) * drift_value_summary(tb, a_val, ds, cfg) + b
     violations = int((lhs > rhs + 1e-9 * (1.0 + np.abs(rhs))).sum())
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="2 drift inequality",
-        passed=violations == 0,
-        measured={"violations": violations, "states": n_states, "b": round(b, 5)},
-        threshold="0 violations",
-        seconds=seconds,
-    )
+    return violations == 0, {"violations": violations, "states": n_states, "b": round(b, 5)}
 
 
-def criterion_3_constant_flatness(scale: float = 1.0) -> CriterionResult:
+@_criterion("3 constant flatness", "b max/min < 2, eps min/max > 0.5, K_bar max/min < 2")
+def criterion_3_constant_flatness(scale: float = 1.0) -> tuple[bool, dict]:
     """b, epsilon, and the step threshold stay flat over n in {100..6400}."""
-    t0 = time.monotonic()
     cfg, center = _tight_model()
     ns = (100, 400, 1600, 6400)
     datasets = {n: _dataset(cfg, n, center) for n in ns}
@@ -336,24 +344,17 @@ def criterion_3_constant_flatness(scale: float = 1.0) -> CriterionResult:
     b_ratio = max(bs.values()) / min(bs.values())
     eps_ratio = min(eps.values()) / max(eps.values())
     kbar_ratio = max(kbar.values()) / min(kbar.values())
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="3 constant flatness",
-        passed=(b_ratio < 2.0) and (eps_ratio > 0.5) and (kbar_ratio < 2.0),
-        measured={
-            "b_ratio": round(b_ratio, 4),
-            "eps_min_over_max": round(eps_ratio, 4),
-            "kbar_ratio": round(kbar_ratio, 4),
-        },
-        threshold="b max/min < 2, eps min/max > 0.5, K_bar max/min < 2",
-        seconds=seconds,
-    )
+    return (b_ratio < 2.0) and (eps_ratio > 0.5) and (kbar_ratio < 2.0), {
+        "b_ratio": round(b_ratio, 4),
+        "eps_min_over_max": round(eps_ratio, 4),
+        "kbar_ratio": round(kbar_ratio, 4),
+    }
 
 
-def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
+@_criterion("4 bound validity", "clamped bound >= empirical TV - 3 SE at every k <= 200")
+def criterion_4_bound_validity(scale: float = 1.0) -> tuple[bool, dict]:
     """Clamped certificate dominates the empirical binned distance at every
     step k <= 200 for n in {100, 400}."""
-    t0 = time.monotonic()
     cfg, center = _tight_model()
     k_max = 200
     n_chains = _count(100_000, scale, floor=5_000)
@@ -378,21 +379,14 @@ def criterion_4_bound_validity(scale: float = 1.0) -> CriterionResult:
             tv = tv_from_counts(summary.hist_counts[t], ref_counts)
             worst_margin = min(worst_margin,
                                float(report.three_term_clamped[t]) - (tv - slack))
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="4 bound validity",
-        passed=worst_margin >= 0.0,
-        measured={"min_margin": round(worst_margin, 5), "chains": n_chains,
-                  "reference_steps": ref_steps},
-        threshold="clamped bound >= empirical TV - 3 SE at every k <= 200",
-        seconds=seconds,
-    )
+    return worst_margin >= 0.0, {"min_margin": round(worst_margin, 5), "chains": n_chains,
+                                 "reference_steps": ref_steps}
 
 
-def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
+@_criterion("5 tail bound", "k*pi_hat + sum exits <= certificate exit terms + 3 SE for k <= 10")
+def criterion_5_tail_bound(scale: float = 1.0) -> tuple[bool, dict]:
     """Empirical exit mass stays below the certificate's own exit terms for
     k <= 10."""
-    t0 = time.monotonic()
     cfg, center = _tight_model()
     ds = _dataset(cfg, 100, center)
     spec = default_large_set(ds, cfg)
@@ -420,20 +414,14 @@ def criterion_5_tail_bound(scale: float = 1.0) -> CriterionResult:
         emp = k * pi_hat + float(exit_freq[:k].sum())
         se = math.hypot(k * pi_se, math.sqrt(float((exit_se[:k] ** 2).sum())))
         worst = max(worst, emp - 3.0 * se - float(exit_terms[k - 1]))
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="5 tail bound",
-        passed=worst <= 0.0,
-        measured={"max_excess": round(worst, 5), "pi_hat_exit": round(pi_hat, 6)},
-        threshold="k*pi_hat + sum exits <= certificate exit terms + 3 SE for k <= 10",
-        seconds=seconds,
-    )
+    return worst <= 0.0, {"max_excess": round(worst, 5), "pi_hat_exit": round(pi_hat, 6)}
 
 
-def criterion_6_posterior_functional(scale: float = 1.0) -> CriterionResult:
+@_criterion("6 posterior functional",
+            "h_n <= 2/margin; |h_400 - 1/c| < 0.15/c; |mc - quad| <= 3 SE")
+def criterion_6_posterior_functional(scale: float = 1.0) -> tuple[bool, dict]:
     """Quadrature E[1/A]: bounded by 2/margin, near 1/center, and matching a
     long-chain Monte Carlo average."""
-    t0 = time.monotonic()
     cfg, center = _classic_model(center=1.0, delta=0.9)
     hs = {}
     bound_ok = True
@@ -454,25 +442,18 @@ def criterion_6_posterior_functional(scale: float = 1.0) -> CriterionResult:
     se = _batch_means_se(inv)
     quad = expected_inv_A(ds50, cfg)
     mc_ok = abs(mc - quad) <= 3.0 * se
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="6 posterior functional",
-        passed=bound_ok and near_ok and mc_ok,
-        measured={
-            "h": {n: round(v, 4) for n, v in hs.items()},
-            "h50_quad": round(quad, 4),
-            "h50_mc": round(mc, 4),
-            "mc_z": round(abs(mc - quad) / se, 3),
-        },
-        threshold="h_n <= 2/margin; |h_400 - 1/c| < 0.15/c; |mc - quad| <= 3 SE",
-        seconds=seconds,
-    )
+    return bound_ok and near_ok and mc_ok, {
+        "h": {n: round(v, 4) for n, v in hs.items()},
+        "h50_quad": round(quad, 4),
+        "h50_mc": round(mc, 4),
+        "mc_z": round(abs(mc - quad) / se, 3),
+    }
 
 
-def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
+@_criterion("7 coupling constructions", "TV < 0.05 each; Pr(N_k < j) <= product bound + 3 SE")
+def criterion_7_constructions(scale: float = 1.0) -> tuple[bool, dict]:
     """Induced and rejection chains are stationary for the band-restricted
     law, and the joint return-time inequality holds empirically."""
-    t0 = time.monotonic()
     cfg, center = _classic_model()
     ds = _dataset(cfg, 20, center)
     spec = default_large_set(ds, cfg)
@@ -510,25 +491,19 @@ def criterion_7_constructions(scale: float = 1.0) -> CriterionResult:
             p, p_se = stats.pr_counts_below(j, k)
             bound, b_se = stats.markov_product_bound(j, k)
             worst_gap = max(worst_gap, p - bound - 3.0 * math.hypot(p_se, b_se) - 1e-9)
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="7 coupling constructions",
-        passed=(tv_trace < 0.05) and (tv_restr < 0.05) and (worst_gap <= 0.0),
-        measured={
-            "tv_trace": round(tv_trace, 4),
-            "tv_restricted": round(tv_restr, 4),
-            "max_return_excess": round(worst_gap, 6),
-            "censored_j5": round(stats.censored_fraction(5), 4),
-        },
-        threshold="TV < 0.05 each; Pr(N_k < j) <= product bound + 3 SE",
-        seconds=seconds,
-    )
+    return (tv_trace < 0.05) and (tv_restr < 0.05) and (worst_gap <= 0.0), {
+        "tv_trace": round(tv_trace, 4),
+        "tv_restricted": round(tv_restr, 4),
+        "max_return_excess": round(worst_gap, 6),
+        "censored_j5": round(stats.censored_fraction(5), 4),
+    }
 
 
-def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
+@_criterion("8 algebraic identities",
+            "gamma identity and direct bound formula <= 1e-12 relative on 100 sets")
+def criterion_8_algebraic_identities(scale: float = 1.0) -> tuple[bool, dict]:
     """Balanced-rate identity, and the bound against its formula written with
     plain powers, each to 1e-12 relative."""
-    t0 = time.monotonic()
     rng = _stream("8 parameter sets").generator
     worst_gamma = 0.0
     worst_direct = 0.0
@@ -553,20 +528,15 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> CriterionResult:
                       / (dc.alpha ** k - dc.alpha ** rk))
             got = evaluate_bound(p, m, dc, k)
             worst_direct = max(worst_direct, abs(got - direct) / direct)
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="8 algebraic identities",
-        passed=(worst_gamma <= 1e-12) and (worst_direct <= 1e-12),
-        measured={"max_gamma_rel_err": float(worst_gamma),
-                  "max_direct_rel_err": float(worst_direct)},
-        threshold="gamma identity and direct bound formula <= 1e-12 relative on 100 sets",
-        seconds=seconds,
-    )
+    return (worst_gamma <= 1e-12) and (worst_direct <= 1e-12), {
+        "max_gamma_rel_err": float(worst_gamma),
+        "max_direct_rel_err": float(worst_direct),
+    }
 
 
-def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
+@_criterion("9 minorization honesty", "certified eps <= overlap + 3 SE at n = 50 and 100")
+def criterion_9_minorization_honesty(scale: float = 1.0) -> tuple[bool, dict]:
     """The certified epsilon never exceeds the Monte Carlo overlap ceiling."""
-    t0 = time.monotonic()
     cfg, center = _tight_model()
     n_samples = _count(100_000, scale, floor=20_000)
     measured = {}
@@ -578,21 +548,14 @@ def criterion_9_minorization_honesty(scale: float = 1.0) -> CriterionResult:
         overlap, se = overlap_oracle_mc(box, ds, cfg, _stream(f"9 overlap n={n}"), n_samples)
         measured[f"n{n}"] = {"eps": float(f"{bc.epsilon:.4e}"), "overlap": round(overlap, 5)}
         passed &= bc.epsilon <= overlap + 3.0 * se
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="9 minorization honesty",
-        passed=passed,
-        measured=measured,
-        threshold="certified eps <= overlap + 3 SE at n = 50 and 100",
-        seconds=seconds,
-    )
+    return passed, measured
 
 
-def criterion_10_reproducibility(scale: float = 1.0) -> CriterionResult:
+@_criterion("10 reproducibility", "one digest per artifact over 2 repeat runs")
+def criterion_10_reproducibility(scale: float = 1.0) -> tuple[bool, dict]:
     """CLI curve and sweep outputs are byte-identical across repeat runs."""
     from . import cli  # deferred: cli imports this module
 
-    t0 = time.monotonic()
     digests: dict[str, set] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
@@ -615,14 +578,7 @@ def criterion_10_reproducibility(scale: float = 1.0) -> CriterionResult:
             digest = hashlib.sha256((out / "sweep_n.csv").read_bytes()).hexdigest()
             digests.setdefault("sweep_n.csv", set()).add(digest)
     unique = {name: len(vals) for name, vals in digests.items()}
-    seconds = time.monotonic() - t0
-    return CriterionResult(
-        name="10 reproducibility",
-        passed=all(v == 1 for v in unique.values()),
-        measured={"distinct_digests": unique},
-        threshold="one digest per artifact over 2 repeat runs",
-        seconds=seconds,
-    )
+    return all(v == 1 for v in unique.values()), {"distinct_digests": unique}
 
 
 CRITERIA = {

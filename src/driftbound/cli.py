@@ -57,6 +57,7 @@ from .simulation import (
     DATA_STREAM,
     REFERENCE_STREAM,
     BinGrid,
+    SimulationError,
     SimulationPlan,
     run_ensemble,
     run_reference_chain,
@@ -121,9 +122,8 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """A JSON number with an integral value, as an int."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    """A finite JSON number with an integral value, as an int."""
+    if not _number(value, key).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -209,12 +209,10 @@ class ExperimentConfig:
         if not validate_scale > 0.0:
             raise ConfigError("validate_scale must be positive")
         plan = {k: _integer(v, f"plan.{k}") for k, v in merged["plan"].items()}
-        if plan["n_chains"] < 1 or plan["n_steps"] < 1:
-            raise ConfigError("plan.n_chains and plan.n_steps must be >= 1")
-        if not (0 <= plan["burn_in"] < plan["n_steps"]):
-            raise ConfigError("plan.burn_in must satisfy 0 <= burn_in < n_steps")
-        if plan["record_stride"] < 1:
-            raise ConfigError("plan.record_stride must be >= 1")
+        try:
+            SimulationPlan(**plan)
+        except SimulationError as exc:
+            raise ConfigError(f"config.plan: {exc}") from exc
         ref = {k: _integer(v, f"reference.{k}") for k, v in merged["reference"].items()}
         if ref["n_steps"] < 1 or ref["burn_in"] < 0:
             raise ConfigError("reference.n_steps must be >= 1 and burn_in >= 0")
@@ -286,14 +284,20 @@ def load_observations(path: Path) -> Dataset:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"data file {path!s}: entry {v!r} is not a number")
-        return Dataset([float(v) for v in values])
-    values = []
-    for token in text.split():
+    else:
+        values = text.split()
+    ys = []
+    for v in values:
         try:
-            values.append(float(token))
+            y = float(v)
         except ValueError:
-            raise ConfigError(f"data file {path!s}: value {token!r} is not a number") from None
-    return Dataset(values)
+            raise ConfigError(f"data file {path!s}: value {v!r} is not a number") from None
+        except OverflowError:  # a JSON integer past the float range
+            y = math.inf
+        if not math.isfinite(y):
+            raise ConfigError(f"data file {path!s}: value {v!r} is not a finite number")
+        ys.append(y)
+    return Dataset(ys)
 
 
 # ---------------------------------------------------------------------------

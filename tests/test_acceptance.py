@@ -1,9 +1,13 @@
 """Full-size acceptance suite.
 
-Each test runs one numbered criterion at scale 1.0 (the same entry points
-``driftbound validate`` uses), prints its one-line verdict, and asserts it
-passed.  The heavy criteria take minutes each; the whole module is the
-package's exit gate and is meant to run on every full test invocation.
+One test per entry of ``acceptance.CRITERIA``, in table order, so a
+criterion added to the table runs here without a new test function.  Each
+runs its criterion at scale 1.0 (the same entry points ``driftbound
+validate`` uses), prints its one-line verdict, and asserts it passed.  The
+test for ``criterion_<k>_<what>`` is ``test_criterion_<kk>_<what>``, with
+``k`` zero-padded to two digits.  The heavy criteria take minutes each; the
+whole module is the package's exit gate and is meant to run on every full
+test invocation.
 """
 
 import sys
@@ -11,49 +15,15 @@ import sys
 from driftbound import acceptance
 
 
-def _run(fn):
-    result = fn(scale=1.0)
-    # bypass output capture so the verdict line lands in the run log
-    print(f"\n{result.line()}", file=sys.__stdout__, flush=True)
-    assert result.passed, result.line()
-    return result
+def _full_scale(criterion):
+    def test():
+        result = criterion(scale=1.0)
+        # bypass output capture so the verdict line lands in the run log
+        print(f"\n{result.line()}", file=sys.__stdout__, flush=True)
+        assert result.passed, result.line()
+    return test
 
 
-def test_criterion_01_exact_moment_oracle():
-    _run(acceptance.criterion_1_exact_moment_oracle)
-
-
-def test_criterion_02_drift_inequality():
-    _run(acceptance.criterion_2_drift_inequality)
-
-
-def test_criterion_03_constant_flatness():
-    _run(acceptance.criterion_3_constant_flatness)
-
-
-def test_criterion_04_bound_validity():
-    _run(acceptance.criterion_4_bound_validity)
-
-
-def test_criterion_05_tail_bound():
-    _run(acceptance.criterion_5_tail_bound)
-
-
-def test_criterion_06_posterior_functional():
-    _run(acceptance.criterion_6_posterior_functional)
-
-
-def test_criterion_07_coupling_constructions():
-    _run(acceptance.criterion_7_constructions)
-
-
-def test_criterion_08_algebraic_identities():
-    _run(acceptance.criterion_8_algebraic_identities)
-
-
-def test_criterion_09_minorization_honesty():
-    _run(acceptance.criterion_9_minorization_honesty)
-
-
-def test_criterion_10_reproducibility():
-    _run(acceptance.criterion_10_reproducibility)
+for _key, _fn in acceptance.CRITERIA.items():
+    _name = f"test_criterion_{int(_key):02d}_" + _fn.__name__.removeprefix(f"criterion_{_key}_")
+    globals()[_name] = _full_scale(_fn)

@@ -5,9 +5,10 @@ Criterion 1 reduces each block of latent vectors in one pass and runs its
 states on a thread pool; these tests hold the reduction to the materialized
 block, the pooled states to a serial run, and the criterion to its recorded
 value.  Criteria 8 and 9 must fail when the bound or the certified epsilon
-they check is made wrong.  The last test runs every Monte Carlo criterion at
-smoke scale while recording the streams each one keys, so two criteria can
-never again draw the same bits.
+they check is made wrong.  The last tests share one smoke-scale run of
+every Monte Carlo criterion that records the streams each one keys, so two
+criteria can never again draw the same bits, and pin the name and threshold
+each one reports.
 """
 
 import math
@@ -126,6 +127,27 @@ def test_criterion_1_keeps_its_value_at_smoke_scale(smoke_run):
     results, _, _ = smoke_run
     assert results["1"].measured["max_abs_z"] == 3.563
     assert results["1"].passed
+
+
+def test_criteria_report_their_names_and_thresholds(smoke_run):
+    results, _, _ = smoke_run
+    assert [(r.name, r.threshold) for r in results.values()] == [
+        ("1 exact-moment oracle",
+         "max |z| <= 4.04 (Sidak: family-wise rate of one |z| <= 3 test)"),
+        ("2 drift inequality", "0 violations"),
+        ("3 constant flatness", "b max/min < 2, eps min/max > 0.5, K_bar max/min < 2"),
+        ("4 bound validity", "clamped bound >= empirical TV - 3 SE at every k <= 200"),
+        ("5 tail bound",
+         "k*pi_hat + sum exits <= certificate exit terms + 3 SE for k <= 10"),
+        ("6 posterior functional",
+         "h_n <= 2/margin; |h_400 - 1/c| < 0.15/c; |mc - quad| <= 3 SE"),
+        ("7 coupling constructions", "TV < 0.05 each; Pr(N_k < j) <= product bound + 3 SE"),
+        ("8 algebraic identities",
+         "gamma identity and direct bound formula <= 1e-12 relative on 100 sets"),
+        ("9 minorization honesty", "certified eps <= overlap + 3 SE at n = 50 and 100"),
+    ]
+    for result in results.values():
+        assert type(result.seconds) is float and result.seconds >= 0.0
 
 
 def test_no_two_criteria_share_a_stream(smoke_run):

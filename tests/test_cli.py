@@ -76,6 +76,7 @@ def test_invariants_named_in_errors():
     ({"data": {"synth": {"n": 100, "center": math.inf}}}, "data.synth.center"),
     ({"model": {"V": math.nan}}, "model.V"),
     ({"mix_target_c": 10**400}, "mix_target_c"),
+    ({"k_max": 10**400}, "k_max"),
 ])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, doc, key):
     # a value of the wrong type is refused by name, not truncated or raised
@@ -84,6 +85,13 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, doc, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} must be")
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    rc = cli.main(["bound-curve", "--seed", "1" + "0" * 400, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: seed must be")
     assert not (tmp_path / "o").exists()
 
 
@@ -121,6 +129,12 @@ def test_observation_file_formats(tmp_path):
     ("data.txt", "1.0\nabc\n2.5\n", "'abc'"),
     ("data.json", '[1.0, "x", 2.5]', "'x'"),
     ("data.json", "[1.0, -1.0, 2.", "not valid JSON"),
+    ("data.txt", "1.0\nnan\n2.5\n", "value 'nan' is not a finite number"),
+    ("data.txt", "1.0\ninf\n2.5\n", "value 'inf' is not a finite number"),
+    ("data.txt", "1.0\n1e400\n2.5\n", "value '1e400' is not a finite number"),
+    ("data.json", "[1.0, 1e400, 2.5]", "value inf is not a finite number"),
+    pytest.param("data.json", "[1.0, 1" + "0" * 400 + ", 2.5]", "0 is not a finite number",
+                 id="data.json-integer past the float range"),
 ])
 def test_malformed_observation_file_is_a_config_error(tmp_path, capsys, name, text, token):
     data = tmp_path / name
