@@ -17,7 +17,6 @@ acceptance module and ``driftbound validate``).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -244,14 +243,20 @@ def _one_step_energy_mc(ds, cfg, center, theta_bar, a_val, n_draws, stream):
 def _criterion(name: str, threshold: str):
     """Turn a check ``body(scale) -> (passed, measured)`` into the criterion
     ``name``: the criterion times the body and returns its
-    :class:`CriterionResult` against ``threshold``."""
+    :class:`CriterionResult` against ``threshold``.
+
+    The criterion takes the body's name, qualified name and docstring, but
+    keeps its own annotations and no ``__wrapped__``, so ``inspect`` and
+    ``help`` report that it returns a :class:`CriterionResult`."""
     def runner(body):
-        @functools.wraps(body)
         def criterion(scale: float = 1.0) -> CriterionResult:
             clock = time.monotonic
             t0 = clock()
             passed, measured = body(scale)
             return CriterionResult(name, passed, measured, threshold, clock() - t0)
+        criterion.__name__ = body.__name__
+        criterion.__qualname__ = body.__qualname__
+        criterion.__doc__ = body.__doc__
         return criterion
     return runner
 

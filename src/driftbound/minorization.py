@@ -56,6 +56,13 @@ Gauss-Kronrod quadratures with a 1e-8 relative target on smooth panels (the
 mu factor matches a 30-digit quadrature to 3e-14 at n = 100 on the default
 tight config); truncating the mu and S ranges only lowers the bound.
 
+Cost: a certificate makes three quadratures, of the S factor, the mu factor
+and the band mass.  The band mass integrates inf_A f_S times a tail weight
+over the S factor's range and breakpoints, so its abscissa arrays are
+nearly always the S factor's; it reads the S factor's infimum values there
+and evaluates the S density, whose endpoint constants are formed once per
+certificate, only on arrays the S factor never reached.
+
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
 term dropped; epsilon is therefore an approximate lower bound.  The
@@ -134,28 +141,38 @@ class SmallSetBox:
 # ---------------------------------------------------------------------------
 
 
-def _log_chi2_pdf(w: np.ndarray, df: int) -> np.ndarray:
+def _s_shift_scale(a, ds: Dataset, cfg: ModelConfig):
+    """Shift m and scale s2 of the reduced S law at A = a (a number or an
+    array): S = m + (s2/r) * chi2_r with r = n-1."""
+    v = cfg.V
+    a = np.asarray(a, dtype=float)
+    return (a / (v + a)) ** 2 * ds.delta / (ds.n - 1), a * v / (v + a)
+
+
+def _s_endpoint_density(a, ds: Dataset, cfg: ModelConfig):
+    """f_S(a; s) of the reduced S law as a function of s, with the constants
+    of a (a number, or an array broadcast against s) formed once."""
+    df = ds.n - 1
     half = 0.5 * df
-    return (half - 1.0) * np.log(w) - 0.5 * w - half * math.log(2.0) - gammaln(half)
+    m, s2 = _s_shift_scale(a, ds, cfg)
+    scale = df / s2
+    log_scale = np.log(scale)
+    log_2_half = half * math.log(2.0)
+    log_gamma_half = gammaln(half)
+
+    def density(s):
+        w = (np.asarray(s, dtype=float) - m) * scale
+        w_safe = np.where(w > 0.0, w, 1.0)
+        # log of the chi2_df density at w, plus the Jacobian log(scale)
+        log_pdf = (half - 1.0) * np.log(w_safe) - 0.5 * w_safe - log_2_half - log_gamma_half
+        return np.where(w > 0.0, np.exp(log_pdf + log_scale), 0.0)
+
+    return density
 
 
 def _s_density(box: SmallSetBox, ds: Dataset, cfg: ModelConfig):
     """Density family f_S(A; s) of the reduced S law, vectorized in (A, s)."""
-    n, v = ds.n, cfg.V
-    df = n - 1
-
-    def density(a, s):
-        a = np.asarray(a, dtype=float)
-        s = np.asarray(s, dtype=float)
-        s2 = a * v / (v + a)
-        m = (a / (v + a)) ** 2 * ds.delta / df
-        scale = df / s2
-        w = (s - m) * scale
-        w_safe = np.where(w > 0.0, w, 1.0)
-        out = np.exp(_log_chi2_pdf(w_safe, df) + np.log(scale))
-        return np.where(w > 0.0, out, 0.0)
-
-    return density
+    return lambda a, s: _s_endpoint_density(a, ds, cfg)(s)
 
 
 def _normal_pdf(x, mean, var):
@@ -172,31 +189,37 @@ def _endpoint_infimum(density, box: SmallSetBox, x):
 # the three factors
 # ---------------------------------------------------------------------------
 
-def _s_factor(box, ds, cfg, weight=None):
-    """Integral over s of inf_A f_S(A; s), optionally times weight(s)."""
-    n, v = ds.n, cfg.V
+def _s_infimum(box, ds, cfg):
+    """inf_A f_S(A; s) as an integrand over s, and its integration range
+    (s_lo, s_hi, breakpoints).
+
+    Each endpoint's density constants are formed once, and the values at
+    every abscissa array the integrand is called with are kept for the
+    integrand's lifetime, so a second quadrature that shares panels with the
+    first reads them instead of evaluating the density again.
+    """
+    n = ds.n
     if n < 5:
         raise MinorizationError(
             f"the endpoint infimum of the S density needs n >= 5, got n={n}"
         )
-    df = n - 1
-    dens = _s_density(box, ds, cfg)
-    a_ends = np.array([box.a_low, box.a_high])
-    s2_ends = a_ends * v / (v + a_ends)
-    m_ends = (a_ends / (v + a_ends)) ** 2 * ds.delta / df
-    width = float(np.max(s2_ends)) * math.sqrt(2.0 / df)
+    m_ends, s2_ends = _s_shift_scale(np.array([box.a_low, box.a_high]), ds, cfg)
+    width = float(np.max(s2_ends)) * math.sqrt(2.0 / (n - 1))
     s_lo = float(np.max(m_ends))
     s_hi = float(np.max(m_ends + s2_ends)) + 14.0 * width
-
-    def integrand(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        inf_vals = _endpoint_infimum(dens, box, s)
-        if weight is not None:
-            inf_vals = inf_vals * weight(s)
-        return inf_vals
-
     breaks = sorted(set(float(x) for x in (m_ends + s2_ends) if s_lo < x < s_hi))
-    return integrate(integrand, s_lo, s_hi, breakpoints=breaks)
+
+    dens_lo = _s_endpoint_density(box.a_low, ds, cfg)
+    dens_hi = _s_endpoint_density(box.a_high, ds, cfg)
+    kept = {}
+
+    def infimum(s):
+        key = s.tobytes()
+        if key not in kept:
+            kept[key] = np.minimum(dens_lo(s), dens_hi(s))
+        return kept[key]
+
+    return infimum, (s_lo, s_hi, breaks)
 
 
 def _theta_bar_overlap(mu, box, ds, cfg):
@@ -266,8 +289,8 @@ def uniform_component(
     cfg: ModelConfig,
     large_set: LargeSetSpec,
 ) -> tuple[float, float]:
-    """Volume epsilon and band mass of the uniform component, sharing one
-    quadrature of the S factor.
+    """Volume epsilon and band mass of the uniform component; the band-mass
+    quadrature reuses the S factor's infimum values.
 
     epsilon is the product of the S factor (a quadrature of the endpoint
     infimum of the S density) and the mu factor (one quadrature of
@@ -283,7 +306,8 @@ def uniform_component(
 
     where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.
     """
-    s_factor = _s_factor(box, ds, cfg)
+    s_inf, (s_lo, s_hi, breaks) = _s_infimum(box, ds, cfg)
+    s_factor = integrate(s_inf, s_lo, s_hi, breakpoints=breaks)
     eps = s_factor * _mu_factor(box, ds, cfg)
     if not (eps > 0.0):  # so s_factor > 0 too
         raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
@@ -292,12 +316,12 @@ def uniform_component(
     t_low, t_high = large_set.a_low, large_set.a_high
 
     def tail(s):
-        beta = cfg.prior_scale_b + 0.5 * (n - 1) * np.asarray(s, dtype=float)
+        beta = cfg.prior_scale_b + 0.5 * (n - 1) * s
         below = gammaincc(a1, beta / t_low)   # A < T  <=>  gamma draw > beta/T
         above = gammainc(a1, beta / t_high)   # A > 2c-T  <=>  gamma draw < beta/(2c-T)
         return below + above
 
-    num = _s_factor(box, ds, cfg, weight=tail)
+    num = integrate(lambda s: s_inf(s) * tail(s), s_lo, s_hi, breakpoints=breaks)
     frac_out = min(max(num / s_factor, 0.0), 1.0)
     return min(eps, 1.0), 1.0 - frac_out
 

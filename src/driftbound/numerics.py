@@ -155,22 +155,37 @@ def _gk15(f: Callable, panels: Sequence[tuple[float, float]]) -> list[tuple[floa
     share the call.  The error estimate is |K15 - G7|, which in practice
     overstates the true K15 error by a wide margin; conservatism is
     deliberate because the estimates feed certificate constants.
+
+    A non-finite integrand value raises NumericsError naming its abscissa;
+    a panel sum that overflows although every value is finite raises one
+    naming the panel.
     """
     halves = [0.5 * (hi - lo) for lo, hi in panels]
     mids = [0.5 * (hi + lo) for lo, hi in panels]
     x = np.array(mids)[:, None] + np.array(halves)[:, None] * _NODES
     y = _eval_array(f, x.ravel()).reshape(x.shape)
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = x[~finite][0]
-        raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
     out = []
-    for half, yk in zip(halves, y):
-        # yk[_GAUSS_IDX] is a contiguous copy; a strided y[:, _GAUSS_IDX]
-        # row would be summed in another order
-        k = half * float(_KRONROD_W @ yk)
-        g = half * float(_GAUSS_W @ yk[_GAUSS_IDX])
-        out.append((k, abs(k - g)))
+    # every Kronrod weight is positive, so a non-finite value makes its
+    # panel's sums, and so its error estimate, non-finite: the values are
+    # searched only then.  numpy's overflow and inf - inf warnings are
+    # silenced, so the typed error is the only output.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (lo, hi), half, yk in zip(panels, halves, y):
+            # yk[_GAUSS_IDX] is a contiguous copy; a strided y[:, _GAUSS_IDX]
+            # row would be summed in another order
+            k = half * float(_KRONROD_W @ yk)
+            g = half * float(_GAUSS_W @ yk[_GAUSS_IDX])
+            err = abs(k - g)
+            if not math.isfinite(err):
+                finite = np.isfinite(y)
+                if not finite.all():
+                    bad = x[~finite][0]
+                    raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
+                raise NumericsError(
+                    f"quadrature sum overflowed on the panel [{lo!r}, {hi!r}], "
+                    "where every integrand value is finite"
+                )
+            out.append((k, err))
     return out
 
 

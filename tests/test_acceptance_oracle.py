@@ -11,6 +11,7 @@ criteria can never again draw the same bits, and pin the name and threshold
 each one reports.
 """
 
+import inspect
 import math
 import sys
 from itertools import combinations
@@ -148,6 +149,18 @@ def test_criteria_report_their_names_and_thresholds(smoke_run):
     ]
     for result in results.values():
         assert type(result.seconds) is float and result.seconds >= 0.0
+
+
+def test_criteria_report_their_own_signature():
+    # the criterion, not its (passed, measured) body, is what callers see
+    for key, criterion in acceptance.CRITERIA.items():
+        assert str(inspect.signature(criterion)) == "(scale: 'float' = 1.0) -> 'CriterionResult'"
+        assert not hasattr(criterion, "__wrapped__")
+        assert criterion.__name__.startswith(f"criterion_{key}_")
+        assert criterion.__qualname__ == criterion.__name__
+        assert criterion.__module__ == "driftbound.acceptance"
+        assert getattr(acceptance, criterion.__name__) is criterion
+        assert criterion.__doc__
 
 
 def test_no_two_criteria_share_a_stream(smoke_run):

@@ -81,15 +81,19 @@ def test_sufficient_stats_validation():
 
 
 def test_dataset_statistics_are_the_exact_sums():
-    # ill-conditioned: the spread is 1e-8 of the offset, so a naive sum of
-    # squares would lose most digits; y_bar and delta are the two fsum
-    # expressions, bit for bit
-    y = 1e8 + RngStream(5, 0).generator.standard_normal(1000)
-    ds = Dataset(y)
-    mean = math.fsum(y.tolist()) / y.size
-    assert ds.n == y.size
-    assert ds.y_bar == mean
-    assert ds.delta == math.fsum((v - mean) ** 2 for v in y.tolist())
+    # y_bar and delta are the two fsum expressions, bit for bit, on
+    # ill-conditioned data (the spread is 1e-8 of the offset, so a naive sum
+    # of squares would lose most digits) and on standard normals, some of
+    # whose terms x have x*x != x**2 (delta's terms are libm pow squares)
+    normals = RngStream(5, 1).generator.standard_normal(20_000)
+    for y in (1e8 + RngStream(5, 0).generator.standard_normal(1000), normals):
+        ds = Dataset(y)
+        mean = math.fsum(y.tolist()) / y.size
+        assert ds.n == y.size
+        assert ds.y_bar == mean
+        assert ds.delta == math.fsum((v - mean) ** 2 for v in y.tolist())
+    mean = math.fsum(normals.tolist()) / normals.size
+    assert any((v - mean) * (v - mean) != (v - mean) ** 2 for v in normals.tolist())
 
 
 def test_data_assumption_examples():

@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from driftbound import cli, minorization
 from driftbound.hier_model import (
     LargeSetSpec,
     ModelConfig,
+    assemble_gibbs_bound,
     data_center,
     default_large_set,
     default_small_set_level,
@@ -139,6 +142,73 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
             compared["theta_bar"] += _compare_with_dense_grid(
                 _theta_bar_density(mu0, ds, cfg), box, tb)
     assert min(compared.values()) > 100, compared
+
+
+def _certificate_integrands(monkeypatch, box, ds, cfg, spec):
+    """The integrands of the three quadratures of one uniform_component call,
+    in call order: the S factor, the mu factor and the band mass."""
+    integrands = []
+    real = minorization.integrate
+
+    def recording(f, a, b, breakpoints=None):
+        integrands.append(f)
+        return real(f, a, b, breakpoints)
+
+    monkeypatch.setattr(minorization, "integrate", recording)
+    uniform_component(box, ds, cfg, spec)
+    monkeypatch.undo()
+    assert len(integrands) == 3
+    return integrands
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 6400])
+def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(monkeypatch, cfg, center, n):
+    # the S factor's integrand is the endpoint infimum of the one written
+    # S density, bit for bit, on both sides of the chi-square support
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    spec = default_large_set(ds, cfg)
+    for frac in (0.002, 0.02):
+        box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
+        s_factor_integrand = _certificate_integrands(monkeypatch, box, ds, cfg, spec)[0]
+        a_ends = np.array([box.a_low, box.a_high])
+        s2 = a_ends * cfg.V / (cfg.V + a_ends)
+        m = (a_ends / (cfg.V + a_ends)) ** 2 * ds.delta / (n - 1)
+        # the S-factor range, extended below both shifts by its own length
+        s_hi = float(np.max(m + s2) + 14.0 * np.max(s2) * math.sqrt(2.0 / (n - 1)))
+        s = np.linspace(2.0 * float(np.max(m)) - s_hi, s_hi, 401)
+        expected = _endpoint_infimum(_s_density(box, ds, cfg), box, s)
+        assert s_factor_integrand(s).tobytes() == expected.tobytes()
+        # the chi-square argument is <= 0 at some abscissae for each endpoint
+        assert np.any(s <= m[0]) and np.any(s <= m[1])
+        assert np.any(expected == 0.0) and np.any(expected > 0.0)
+
+
+def test_one_certificate_evaluates_the_s_density_once_per_abscissa_array(monkeypatch):
+    # the band-mass quadrature reads the S factor's infimum values where the
+    # two quadratures share an abscissa array
+    cfg = cli.ExperimentConfig.from_dict(cli.default_config_dict())
+    ds = cfg.resolve_dataset(n=100)
+    evaluations = Counter()
+    real = minorization._s_endpoint_density
+
+    def counting(a, ds, cfg):
+        density = real(a, ds, cfg)
+
+        def counted(s):
+            evaluations[float(a), s.tobytes()] += 1
+            return density(s)
+
+        return counted
+
+    monkeypatch.setattr(minorization, "_s_endpoint_density", counting)
+    assemble_gibbs_bound(ds, cfg.model, k_max=5)
+    endpoints = {a for a, _ in evaluations}
+    arrays = {s for _, s in evaluations}
+    assert len(endpoints) == 2 and len(arrays) > 1
+    assert len(evaluations) == 2 * len(arrays)
+    assert max(evaluations.values()) == 1, sorted(evaluations.values())
 
 
 def _box(cfg, center, n, frac):

@@ -113,6 +113,18 @@ def test_integrate_reports_nonfinite_abscissa():
         integrate(f, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_panel_sum_is_a_typed_failure():
+    # every value is finite, but the Kronrod sum of the one panel overflows;
+    # the typed error is the only output, with no numpy overflow warning
+    with pytest.raises(NumericsError, match=r"overflowed on the panel \[0\.0, 10\.0\]"):
+        integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+    # +inf and -inf in one panel give its sums inf - inf: the value is
+    # named, again with no numpy warning
+    with pytest.raises(NumericsError, match=r"non-finite value at x="):
+        integrate(lambda x: np.where(x < 5.0, np.inf, -np.inf), 0.0, 10.0)
+
+
 def test_integrand_of_wrong_shape_rejected():
     with pytest.raises(NumericsError, match="shape"):
         integrate(lambda x: 1.0, 0.0, 1.0)
