@@ -10,15 +10,16 @@ simulate     ensemble run with per-step distance estimates next to the bound
 validate     run the acceptance suite and write a machine-readable report
 
 Every command resolves one JSON config (``--config``; a built-in desk-scale
-default otherwise), honors ``--seed``/``--out``/``--k-max`` overrides, and
-writes a run manifest with content digests of every emitted file.  Stream
-indices under the master seed are fixed: 0 data synthesis, 1 reference
-chain, 1_000_000 + i ensemble chain i, 3_000_000 + 2p (+1) the two chains
-of pair p.  ``validate`` draws from the streams of ``acceptance._STREAMS``
+default otherwise), honors ``--seed``/``--out`` overrides (``bound-curve``
+also ``--k-max``), and writes a run manifest with content digests of every
+emitted file.  Stream indices under the master seed are fixed: 0 data
+synthesis, 1 reference chain, 1_000_000 + i ensemble chain i, 3_000_000 +
+2p (+1) the two chains of pair p.  ``validate`` draws from the streams of ``acceptance._STREAMS``
 under that module's own seed.
 
-Exit codes: 0 success (all criteria pass for ``validate``), 1 config error,
-2 numerical failure (for ``sweep-n``: any failed row), 3 validation failure.
+Exit codes: 0 success (all criteria pass for ``validate``), 1 config error
+(a malformed command line included), 2 numerical failure (for ``sweep-n``:
+any failed row), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -101,12 +102,6 @@ def default_config_dict() -> dict:
     }
 
 
-_TOP_KEYS = set(default_config_dict())
-_MODEL_KEYS = {"V", "a", "b", "delta"}
-_PLAN_KEYS = {"n_chains", "n_steps", "burn_in", "record_stride"}
-_REF_KEYS = {"n_steps", "burn_in"}
-
-
 def _number(value, key: str) -> float:
     """A JSON number as a finite float; booleans, strings, null and
     non-finite values (Infinity, NaN, or past the float range) are refused."""
@@ -130,7 +125,8 @@ def _integer(value, key: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment configuration."""
+    """Resolved, validated experiment configuration.  ``threads`` must be 1;
+    it stays only because the benchmark (``perfbench/workloads.py``) reads it."""
 
     model: ModelConfig
     data_source: dict
@@ -147,16 +143,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        merged = default_config_dict()
-        unknown = set(doc) - _TOP_KEYS
+        defaults = default_config_dict()
+        merged = dict(defaults)
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
             if key in ("model", "plan", "reference"):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config.{key} must be a JSON object, got {value!r}")
-                bad = set(value) - {"model": _MODEL_KEYS, "plan": _PLAN_KEYS,
-                                    "reference": _REF_KEYS}[key]
+                bad = set(value) - set(defaults[key])
                 if bad:
                     raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
                 merged[key] = {**merged[key], **value}
@@ -170,7 +166,7 @@ class ExperimentConfig:
             synth = data["synth"]
             if not isinstance(synth, dict):
                 raise ConfigError(f"data.synth must be a JSON object, got {synth!r}")
-            bad = set(synth) - {"n", "center", "exact_center"}
+            bad = set(synth) - set(defaults["data"]["synth"])
             if bad:
                 raise ConfigError(f"unknown data.synth keys: {sorted(bad)}")
             if _integer(synth.get("n", 0), "data.synth.n") < 2:
@@ -200,8 +196,9 @@ class ExperimentConfig:
             raise ConfigError("k_max must be >= 1")
         if not (0 <= ints["seed"] < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if ints["threads"] < 1:
-            raise ConfigError("threads must be >= 1")
+        if ints["threads"] != 1:
+            raise ConfigError(f"threads must be 1 (ensembles run on one thread), "
+                              f"got {ints['threads']}")
         mix_target_c = _number(merged["mix_target_c"], "mix_target_c")
         if not (0.0 < mix_target_c < 1.0):
             raise ConfigError("mix_target_c must lie in (0, 1)")
@@ -297,6 +294,8 @@ def load_observations(path: Path) -> Dataset:
         if not math.isfinite(y):
             raise ConfigError(f"data file {path!s}: value {v!r} is not a finite number")
         ys.append(y)
+    if len(ys) < 2:
+        raise ConfigError(f"data file {path!s} holds {len(ys)} values; need at least 2")
     return Dataset(ys)
 
 
@@ -584,8 +583,16 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, only: list[str] | None = 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error (exit 1), not argparse's
+    exit 2, which the exit codes give to numerical failures."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driftbound",
         description="Convergence certificates for the hierarchical-normal Gibbs sampler.",
     )
@@ -596,7 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--k-max", type=int, dest="k_max", help="override the config k_max")
 
     p = sub.add_parser("synth-data", help="draw observations from the model")
     common(p)
@@ -604,8 +610,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=float, required=True)
     p.add_argument("--data-out", default=None, help="output file (default: OUT/data.txt)")
 
-    for name in ("bound-curve", "simulate"):
-        common(sub.add_parser(name))
+    p = sub.add_parser("bound-curve", help="the three-term bound curve per step")
+    common(p)
+    p.add_argument("--k-max", type=int, dest="k_max", help="override the config k_max")
+
+    common(sub.add_parser("simulate", help="ensemble run next to the bound"))
 
     p = sub.add_parser("sweep-n", help="certificate constants across sample sizes")
     common(p)
@@ -622,11 +631,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {"seed": getattr(args, "seed", None), "k_max": getattr(args, "k_max", None)}
-    if getattr(args, "scale", None) is not None:
-        overrides["validate_scale"] = args.scale
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = {"seed": args.seed, "k_max": getattr(args, "k_max", None),
+                     "validate_scale": getattr(args, "scale", None)}
         cfg = load_config(args.config, overrides)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -657,8 +665,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(cfg, out_dir)
         if args.command == "validate":
             only = None
-            if args.only:
+            if args.only is not None:
                 only = [tok.strip() for tok in str(args.only).split(",") if tok.strip()]
+                if not only:
+                    raise ConfigError("--only must name at least one criterion")
             return cmd_validate(cfg, out_dir, only=only)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

@@ -10,17 +10,15 @@ independent pair of restricted chains.
 Reproducibility contract: every chain owns the stream
 (seed, stream base + chain index) with a fixed per-step draw layout, chunk
 boundaries are fixed constants, and cross-chunk reductions either use exact
-integer arithmetic or ordered slot merges, so results are byte-identical
-across repeat runs and across worker counts.  A long chain's path does not
-depend on the route its loop takes (fixed-point passes or the scalar sweep,
-see _marginal): both give the sequential sweep's bits.
+integer arithmetic or sum per-chunk rows in a fixed order, so results are
+byte-identical across repeat runs.  A long chain's path does not depend on
+the route its loop takes (fixed-point passes or the scalar sweep, see
+_marginal): both give the sequential sweep's bits.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +58,9 @@ REFERENCE_STREAM = 1
 ENSEMBLE_STREAM_BASE = 1_000_000
 PAIR_STREAM_BASE = 3_000_000
 
-_CHUNK = 4096  # chains per work unit; fixed so threading cannot change results
+# chains per work unit; fixed because the energy sums are formed per chunk,
+# so another width would round them differently
+_CHUNK = 4096
 _J_MAX = 5  # joint returns recorded per pair
 
 
@@ -174,7 +174,13 @@ def run_ensemble(
     per-step distance estimates without storing raw states).  States are
     additionally recorded every ``record_stride`` steps after burn-in when
     ``record_states`` is set.
+
+    The chains run in chunks of ``_CHUNK``, one after another on the
+    calling thread.  ``threads`` must be 1; it stays only because the
+    benchmark (``perfbench/workloads.py``) passes it.
     """
+    if threads != 1:
+        raise SimulationError(f"threads must be 1, got {threads!r}")
     kernel = MarginalKernel(ds, cfg)
     n_steps, n_chains = plan.n_steps, plan.n_chains
 
@@ -191,45 +197,27 @@ def run_ensemble(
     hist = np.zeros((n_steps, bins.n_cells), dtype=np.int64) if bins is not None else None
     rec_tb = np.empty((len(rec_steps), n_chains)) if rec_steps else None
     rec_a = np.empty((len(rec_steps), n_chains)) if rec_steps else None
-    lock = threading.Lock()
 
-    def work(chunk_id: int) -> None:
+    for chunk_id in range(n_chunks):
         lo = chunk_id * _CHUNK
         hi = min(lo + _CHUNK, n_chains)
-        m = hi - lo
         draws = _draw_streams(kernel, plan.seed, ENSEMBLE_STREAM_BASE + np.arange(lo, hi),
                               n_steps)
-        tb = np.full(m, x0.theta_bar)
-        a = np.full(m, x0.A)
-        local_band = np.zeros(n_steps, dtype=np.int64)
-        local_hist = (
-            np.zeros((n_steps, bins.n_cells), dtype=np.int64) if bins is not None else None
-        )
+        tb = np.full(hi - lo, x0.theta_bar)
+        a = np.full(hi - lo, x0.A)
         for t in range(n_steps):
             _, tb, a = kernel.step_arrays(tb, a, *draws[:, :, t])
             f = drift_value_summary(tb, a, ds, cfg)
             sum_f[chunk_id, t] = f.sum()
             sum_f_sq[chunk_id, t] = (f * f).sum()
             if large_set is not None:
-                local_band[t] = int(large_set.contains(a).sum())
+                band_counts[t] += int(large_set.contains(a).sum())
             if bins is not None:
-                local_hist[t] = bins.counts(tb, a)
+                hist[t] += bins.counts(tb, a)
             r = rec_index.get(t + 1)
             if r is not None:
                 rec_tb[r, lo:hi] = tb
                 rec_a[r, lo:hi] = a
-        with lock:
-            if large_set is not None:
-                band_counts[:] += local_band
-            if bins is not None:
-                hist[:] += local_hist
-
-    if threads <= 1:
-        for cid in range(n_chunks):
-            work(cid)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(n_chunks)))
 
     total_f = sum_f.sum(axis=0)
     total_f_sq = sum_f_sq.sum(axis=0)

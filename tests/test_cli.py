@@ -77,6 +77,7 @@ def test_invariants_named_in_errors():
     ({"model": {"V": math.nan}}, "model.V"),
     ({"mix_target_c": 10**400}, "mix_target_c"),
     ({"k_max": 10**400}, "k_max"),
+    ({"threads": 2}, "threads"),
 ])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, doc, key):
     # a value of the wrong type is refused by name, not truncated or raised
@@ -135,6 +136,9 @@ def test_observation_file_formats(tmp_path):
     ("data.json", "[1.0, 1e400, 2.5]", "value inf is not a finite number"),
     pytest.param("data.json", "[1.0, 1" + "0" * 400 + ", 2.5]", "0 is not a finite number",
                  id="data.json-integer past the float range"),
+    # fewer than two values: a malformed file, not a numerical failure
+    ("data.txt", "", "holds 0 values"),
+    ("data.json", "[0.25]", "holds 1 values"),
 ])
 def test_malformed_observation_file_is_a_config_error(tmp_path, capsys, name, text, token):
     data = tmp_path / name
@@ -228,6 +232,14 @@ def test_bound_curve_rerun_is_byte_identical(curve_run):
     assert rc == 0
     assert (out / "bound_curve.csv").read_bytes() == (out2 / "bound_curve.csv").read_bytes()
     assert (out / "bound_report.json").read_bytes() == (out2 / "bound_report.json").read_bytes()
+
+
+def test_k_max_flag_sets_the_curve_length(curve_run):
+    tmp, cfg, _ = curve_run
+    out = tmp / "k7"
+    assert cli.main(["bound-curve", "--config", str(cfg), "--k-max", "7", "--out", str(out)]) == 0
+    assert len((out / "bound_curve.csv").read_text().splitlines()) == 1 + 7
+    assert json.loads((out / "bound_report.json").read_text())["k"] == list(range(1, 8))
 
 
 def test_bound_report_key_set(curve_run):
@@ -428,3 +440,44 @@ def test_validate_unknown_criterion(tmp_path):
     rc = cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v"),
                    "--only", "99"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_validate_only_naming_no_criterion_is_refused(tmp_path, capsys, only):
+    out = tmp_path / "v"
+    rc = cli.main(["validate", "--only", only, "--scale", "0.01", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: --only must name at least one criterion")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-n", "--bogus"], "unrecognized arguments: --bogus"),
+    # only bound-curve reads --k-max
+    (["sweep-n", "--k-max", "5"], "unrecognized arguments: --k-max 5"),
+    (["simulate", "--k-max", "5"], "unrecognized arguments: --k-max 5"),
+    (["bound-curve", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["no-such-command"], "argument command: invalid choice"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    # exit 1, as for a malformed config; 2 is kept for numerical failures
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep-n", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

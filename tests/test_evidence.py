@@ -52,10 +52,13 @@ def test_bench_document_layout():
         "change": [_run(11, 7.0, 60.0), _run(12, 7.5, 61.5), _run(13, 6.0, 61.0),
                    _run(14, 6.5, 63.0)],
     }
-    directions = {"wall_s": ("s", "lower"), "peak_rss_mib": ("MiB", "lower")}
+    directions = {"wall_s": ("s", "lower", 0.25), "peak_rss_mib": ("MiB", "lower", 0.1)}
     metrics = evidence.summarize(runs, directions)
     wall = metrics["wall_s"]
-    assert (wall["unit"], wall["better"], wall["pairs"], wall["change_wins"]) == ("s", "lower", 4, 3)
+    assert (wall["unit"], wall["better"], wall["bound"], wall["pairs"], wall["change_wins"]) == (
+        "s", "lower", 0.25, 4, 3)
+    # faster by more than the parent's IQR, but in only 3 of 4 pairs
+    assert (wall["claim_met"], wall["within_bound"]) == (False, True)
     assert wall["parent"] == {"median": 8.5, "q1": 7.75, "q3": 9.25, "iqr": 1.5}
     assert wall["change"]["median"] == 6.75
     # a tie is not a win
@@ -81,9 +84,30 @@ def test_bench_document_layout():
 def test_higher_is_better_counts_the_larger_value_as_a_win():
     runs = {"parent": [{"metrics": {"rate": 1.0}}, {"metrics": {"rate": 3.0}}],
             "change": [{"metrics": {"rate": 2.0}}, {"metrics": {"rate": 2.0}}]}
-    metrics = evidence.summarize(runs, {"rate": ("1/s", "higher")})
+    metrics = evidence.summarize(runs, {"rate": ("1/s", "higher", 0.25)})
     assert metrics["rate"]["change_wins"] == 1
     assert evidence.spread([5.0]) == {"median": 5.0, "q1": 5.0, "q3": 5.0, "iqr": 0.0}
+
+
+_RISING = [8.0 + 0.1 * i for i in range(10)]  # median 8.45, IQR 0.45
+
+
+@pytest.mark.parametrize("parent, change, better, bound, claim_met, within_bound", [
+    # nine wins in ten, and the medians 0.9 apart against an IQR of 0.45
+    (_RISING, [8.5] + [7.1 + 0.1 * i for i in range(9)], "lower", 0.25, True, True),
+    # ten wins, but the medians only 0.2 apart: within the parent's spread
+    (_RISING, [v - 0.2 for v in _RISING], "lower", 0.25, False, True),
+    # the bound is relative to the parent's median: +1.7 % passes a 0.1 bound
+    ([64.5] * 10, [65.6] * 10, "lower", 0.1, False, True),
+    ([1.0] * 10, [1.26] * 10, "lower", 0.25, False, False),
+    ([1.0] * 10, [0.7] * 10, "higher", 0.25, False, False),
+    ([1.0] * 10, [1.3] * 10, "higher", 0.25, True, True),
+])
+def test_claim_and_bound_verdicts(parent, change, better, bound, claim_met, within_bound):
+    runs = {"parent": [{"metrics": {"m": v}} for v in parent],
+            "change": [{"metrics": {"m": v}} for v in change]}
+    m = evidence.summarize(runs, {"m": ("s", better, bound)})["m"]
+    assert (m["claim_met"], m["within_bound"]) == (claim_met, within_bound)
 
 
 def test_machine_names_the_toolchain():

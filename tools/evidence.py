@@ -19,11 +19,21 @@ per pair, the parent first in even pairs and the change first in odd ones.
 
 ``BENCH_<pr>.json`` at the root of the repository holds the hashes, every
 run's end-to-end metrics, each metric's median and quartiles on both sides,
-the pairs the change won, the seeds and the machine.  Each side is named by
-its commit and by the tree of its ``src/``, the program that both the
-outputs and the benchmark run: the commit may not outlive the change (one
-made by ``git stash create`` from staged work, say), but a later commit that
-adds only documents and the BENCH file keeps that tree's hash.
+the pairs the change won, the seeds and the machine, and two verdicts per
+workload and metric:
+
+- ``claim_met``: the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range, so a claimed gain on that metric is shown;
+- ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``bound`` in ``BENCHMARK.json``, taken relative to
+  the parent's median.
+
+Each side is named by its commit and by the tree of its ``src/``, the
+program that both the outputs and the benchmark run: the commit may not
+outlive the change (one made by ``git stash create`` from staged work,
+say), but a later commit that adds only documents and the BENCH file keeps
+that tree's hash.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEEDS = list(range(11, 21))  # one per pair
+CLAIM_WIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 
 # (label, driftbound arguments, files hashed); "validation_report.json"
 # is hashed by its criteria's names and measured fields only, since it
@@ -132,20 +143,28 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: dict, directions: dict) -> dict:
-    """Per metric: both sides' spreads and the pairs in which the change was
-    better, from ``runs[side][i]["metrics"]`` with pair i on both sides."""
+    """Per metric: both sides' spreads, the pairs in which the change was
+    better and the two verdicts, from ``runs[side][i]["metrics"]`` with pair
+    i on both sides; ``directions[name]`` is ``(unit, better, bound)``."""
     out = {}
-    for name, (unit, better) in directions.items():
+    for name, (unit, better, bound) in directions.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
+        parent, change = spread(values["parent"]), spread(values["change"])
+        # how much worse the change's median is; negative when it is better
+        loss = sign * (change["median"] - parent["median"])
         out[name] = {
             "unit": unit,
             "better": better,
-            "parent": spread(values["parent"]),
-            "change": spread(values["change"]),
+            "bound": bound,
+            "parent": parent,
+            "change": change,
             "change_wins": wins,
             "pairs": len(values["parent"]),
+            "claim_met": wins >= CLAIM_WIN_SHARE * len(values["parent"])
+                         and -loss > parent["iqr"],
+            "within_bound": loss <= bound * abs(parent["median"]),
         }
     return out
 
@@ -191,7 +210,8 @@ def main(argv=None) -> int:
     try:
         sides = {side: export_tree(getattr(args, side), trees[side]) for side in SIDES}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        directions = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+        directions = {m["name"]: (m["unit"], m["better"], m["bound"])
+                      for m in bench["end_to_end"]}
         seconds = float(bench["run_seconds"])
         names = [w["name"] for w in bench["workloads"]]
 
@@ -215,6 +235,11 @@ def main(argv=None) -> int:
                         f"{k} {v:.6g}" for k, v in run["metrics"].items()), flush=True)
             workloads[name] = {"seconds": seconds, "seeds": SEEDS, "first": first,
                                "runs": runs, "metrics": summarize(runs, directions)}
+            for metric, m in workloads[name]["metrics"].items():
+                print(f"{name} {metric}: median {m['parent']['median']:.6g} -> "
+                      f"{m['change']['median']:.6g} (parent IQR {m['parent']['iqr']:.3g}), "
+                      f"change better in {m['change_wins']}/{m['pairs']}, "
+                      f"claim_met {m['claim_met']}, within_bound {m['within_bound']}", flush=True)
         doc = bench_document(args.pr, sides, hashes, workloads, machine())
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
