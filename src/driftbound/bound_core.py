@@ -215,12 +215,14 @@ def mixing_time_certificate(
         raise BoundError("C1, C2, C3 must be positive")
     if not (0.0 < c < 1.0):
         raise BoundError(f"c must lie in (0,1), got {c!r}")
-    k_bar = max(1, math.ceil((math.log(C1) - math.log(c / 3.0)) / log_inv_gamma))
-    n_c = max(
-        1.0,
-        (k_bar * 3.0 * C3 / c) ** 2,
-        3.0 * C2 * k_bar * (k_bar + 1.0) / c,
-    )
+    steps = (math.log(C1) - math.log(c / 3.0)) / log_inv_gamma
+    if not math.isfinite(steps):
+        raise BoundError(f"K_bar overflowed: log(1/gamma) = {log_inv_gamma!r} is too small")
+    k_bar = max(1, math.ceil(steps))
+    # products, not ** 2: a float power raises OverflowError instead of
+    # returning inf
+    c3_root = k_bar * 3.0 * C3 / c
+    n_c = max(1.0, c3_root * c3_root, 3.0 * C2 * k_bar * (k_bar + 1.0) / c)
     if not math.isfinite(n_c):
-        raise BoundError("sample-size threshold overflowed")
+        raise BoundError(f"N_c overflowed at K_bar = {k_bar:.3g}")
     return k_bar, math.ceil(n_c)

@@ -553,6 +553,9 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, only: list[str] | None = 
             raise ConfigError(
                 f"unknown criteria {unknown}; valid: {list(acceptance.CRITERIA)}"
             )
+        repeated = sorted({k for k in only if only.count(k) > 1}, key=only.index)
+        if repeated:
+            raise ConfigError(f"criteria named more than once: {repeated}")
     # reject incoherent configurations before any computation starts
     ds = cfg.resolve_dataset()
     cfg.resolve_large_set(ds)

@@ -242,6 +242,16 @@ def test_mixing_certificate_diverges_as_gamma_tends_to_one():
     assert k_big > 1e8 * k_small
 
 
+def test_mixing_certificate_overflow_is_a_typed_error_naming_the_threshold():
+    # at log(1/gamma) = 5.2e-253, K_bar is about 1e253 and fits a float,
+    # but (K_bar*3*C3/c)^2 does not; below about 1e-308 K_bar itself does not
+    with pytest.raises(BoundError, match="N_c overflowed"):
+        mixing_time_certificate(3.0, 1.0, 1.0, 5.2e-253, 0.25)
+    for log_inv_gamma in (1e-310, 5e-324):
+        with pytest.raises(BoundError, match="K_bar overflowed"):
+            mixing_time_certificate(3.0, 1.0, 1.0, log_inv_gamma, 0.25)
+
+
 def test_mixing_certificate_log_rate_path():
     # gamma = 1 leaves no rate; a log rate of 1e-12, where gamma rounds to
     # 1.0, still certifies

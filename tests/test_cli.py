@@ -188,6 +188,23 @@ def test_non_finite_command_line_numbers_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "v").exists() and not (tmp_path / "s").exists()
 
 
+def test_overflowing_thresholds_are_a_numerical_failure(tmp_path, capsys):
+    # epsilon is so small here that log(1/gamma) is about 1e-253 and the
+    # sample-size threshold N_c lies past the float range
+    doc = small_config(
+        model={"V": 0.8794796161131527, "a": 1.029387088679896,
+               "b": 0.32954740957567846, "delta": 0.22711552034391164},
+        data={"synth": {"n": 6291, "center": 0.6608113902702464, "exact_center": True}},
+        large_set_T=0.16213698864919582,
+    )
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["bound-curve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: N_c overflowed at K_bar = ")
+    assert "Traceback" not in err
+
+
 def test_synth_data_fails_when_margin_unreachable(tmp_path):
     # margin far above the marginal variance V + center cannot be met
     doc = small_config(model={"V": 8e-4, "a": 3.0, "b": 0.2, "delta": 5.0})
@@ -440,6 +457,16 @@ def test_validate_unknown_criterion(tmp_path):
     rc = cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v"),
                    "--only", "99"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("only, repeated", [("8,8", "['8']"), ("2,8, 2,8,5", "['2', '8']")])
+def test_validate_refuses_a_repeated_criterion(tmp_path, capsys, only, repeated):
+    out = tmp_path / "v"
+    rc = cli.main(["validate", "--only", only, "--scale", "0.01", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config error: criteria named more than once: {repeated}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("only", [",", "", " , "])

@@ -110,6 +110,23 @@ def test_claim_and_bound_verdicts(parent, change, better, bound, claim_met, with
     assert (m["claim_met"], m["within_bound"]) == (claim_met, within_bound)
 
 
+@pytest.mark.parametrize("change, unresolved", [
+    # the medians 0.2 apart against the parent's IQR of 0.45, either way
+    ([v - 0.2 for v in _RISING], True),
+    ([v + 0.2 for v in _RISING], True),
+    # 0.9 apart, either way: the runs tell the sides apart
+    ([v - 0.9 for v in _RISING], False),
+    ([v + 0.9 for v in _RISING], False),
+])
+def test_unresolved_when_the_parent_spread_is_wider_than_the_gap(change, unresolved):
+    runs = {"parent": [{"metrics": {"m": v}} for v in _RISING],
+            "change": [{"metrics": {"m": v}} for v in change]}
+    for better in ("lower", "higher"):
+        m = evidence.summarize(runs, {"m": ("s", better, 0.25)})["m"]
+        assert m["parent"]["iqr"] == pytest.approx(0.45)
+        assert m["unresolved"] is unresolved
+
+
 def test_machine_names_the_toolchain():
     assert set(evidence.machine()) == {"cpu_count", "cpus_usable", "platform", "python",
                                        "numpy", "scipy"}

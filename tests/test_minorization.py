@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy.stats import chi2
 
 from driftbound import cli, minorization
 from driftbound.hier_model import (
@@ -26,12 +27,15 @@ from driftbound.minorization import (
     _mu_inf_density,
     _normal_pdf,
     _pair_overlap,
+    _s_crossings,
     _s_density,
+    _s_infimum,
+    _s_shift_scale,
     _theta_bar_overlap,
     overlap_oracle_mc,
     uniform_component,
 )
-from driftbound.numerics import RngStream
+from driftbound.numerics import RngStream, integrate_with_error
 
 TIGHT = ModelConfig(V=8e-4, prior_shape_a=3.0, prior_scale_b=0.2, delta_margin=0.08)
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -183,6 +187,76 @@ def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(monkeypatch, cfg,
         # the chi-square argument is <= 0 at some abscissae for each endpoint
         assert np.any(s <= m[0]) and np.any(s <= m[1])
         assert np.any(expected == 0.0) and np.any(expected > 0.0)
+
+
+def _s_range(box, ds, cfg):
+    """Endpoint shifts and scales of the S law, and the S-factor range."""
+    m, s2 = _s_shift_scale(np.array([box.a_low, box.a_high]), ds, cfg)
+    width = float(np.max(s2)) * math.sqrt(2.0 / (ds.n - 1))
+    return m, s2, float(np.max(m)), float(np.max(m + s2)) + 14.0 * width
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 6400])
+def test_s_crossings_are_the_sign_changes_of_the_log_density_ratio(cfg, center, n):
+    found = 0
+    for frac in (0.002, 0.02, 0.3, 0.9):
+        ds, box = _box(cfg, center, n, frac)
+        m, s2, s_lo, s_hi = _s_range(box, ds, cfg)
+        crossings = _s_crossings(m, s2, n - 1, s_hi)
+        # the certificate's S quadratures break at every crossing
+        _, (lo, hi, breaks) = _s_infimum(box, ds, cfg)
+        assert (lo, hi) == (s_lo, s_hi) and set(crossings) <= set(breaks)
+
+        # at s_lo the upper law's density is 0, so the ratio is +inf there
+        s = np.linspace(s_lo, s_hi, 200_001)
+        step = s[1] - s[0]
+        r = n - 1
+        log_ratio = (chi2.logpdf((s - m[0]) * (r / s2[0]), r) + math.log(r / s2[0])
+                     - chi2.logpdf((s - m[1]) * (r / s2[1]), r) - math.log(r / s2[1]))
+        flips = np.flatnonzero(np.sign(log_ratio[:-1]) != np.sign(log_ratio[1:]))
+        # every sign change sits next to a returned crossing, and every
+        # returned crossing next to a sign change
+        for i in flips:
+            assert any(s[i] - step <= c <= s[i + 1] + step for c in crossings), s[i]
+        for c in crossings:
+            assert any(s[i] - step <= c <= s[i + 1] + step for i in flips), c
+        found += len(crossings)
+    assert found > 0
+
+
+def _mp_s_factor(box, ds, cfg, edges):
+    """integral of min(f_lo, f_hi) of the reduced S law by 30-digit tanh-sinh
+    quadrature over the given edges, from the same float shifts and scales."""
+    m, s2 = _s_shift_scale(np.array([box.a_low, box.a_high]), ds, cfg)
+    with mp.workdps(30):
+        r = mp.mpf(ds.n - 1)
+        half = r / 2
+        ends = [(mp.mpf(float(mi)), r / mp.mpf(float(si))) for mi, si in zip(m, s2)]
+        const = -half * mp.log(2) - mp.loggamma(half)
+
+        def integrand(s):
+            return mp.exp(min(half * mp.log(k) + (half - 1) * mp.log(s - mi)
+                              - k * (s - mi) / 2 + const for mi, k in ends))
+
+        return float(mp.quad(integrand, [mp.mpf(e) for e in edges]))
+
+
+@pytest.mark.parametrize("n,rel", [(100, 1e-12), (6400, 1e-9)])
+def test_s_factor_matches_mpmath(n, rel):
+    # at n = 6400 the residual error, 7e-10 relative, sits in the long lower
+    # tail between the support's start and the lower law's mean, not at the
+    # crossing; it is within the quadrature's own error estimate
+    ds = synth_dataset(n, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
+    spec = default_large_set(ds, TIGHT)
+    d = default_small_set_level(drift_offset_b(ds, TIGHT, spec), lambda_T(spec, TIGHT.V))
+    box = SmallSetBox.from_level(d, ds, TIGHT)
+    s_inf, (lo, hi, breaks) = _s_infimum(box, ds, TIGHT)
+    got, err = integrate_with_error(s_inf, lo, hi, breakpoints=breaks)
+    ref = _mp_s_factor(box, ds, TIGHT, [lo, *breaks, hi])
+    assert abs(got - ref) <= err
+    assert got == pytest.approx(ref, rel=rel)
 
 
 def test_one_certificate_evaluates_the_s_density_once_per_abscissa_array(monkeypatch):

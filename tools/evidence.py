@@ -27,7 +27,10 @@ workload and metric:
   interquartile range, so a claimed gain on that metric is shown;
 - ``within_bound``: the change's median is worse than the parent's by no
   more than the metric's ``bound`` in ``BENCHMARK.json``, taken relative to
-  the parent's median.
+  the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than the gap
+  between the two medians, so the runs cannot tell the sides apart and the
+  metric is neither shown better nor shown unchanged.
 
 Each side is named by its commit and by the tree of its ``src/``, the
 program that both the outputs and the benchmark run: the commit may not
@@ -144,7 +147,7 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: dict, directions: dict) -> dict:
     """Per metric: both sides' spreads, the pairs in which the change was
-    better and the two verdicts, from ``runs[side][i]["metrics"]`` with pair
+    better and the three verdicts, from ``runs[side][i]["metrics"]`` with pair
     i on both sides; ``directions[name]`` is ``(unit, better, bound)``."""
     out = {}
     for name, (unit, better, bound) in directions.items():
@@ -165,6 +168,7 @@ def summarize(runs: dict, directions: dict) -> dict:
             "claim_met": wins >= CLAIM_WIN_SHARE * len(values["parent"])
                          and -loss > parent["iqr"],
             "within_bound": loss <= bound * abs(parent["median"]),
+            "unresolved": parent["iqr"] > abs(loss),
         }
     return out
 
@@ -239,7 +243,8 @@ def main(argv=None) -> int:
                 print(f"{name} {metric}: median {m['parent']['median']:.6g} -> "
                       f"{m['change']['median']:.6g} (parent IQR {m['parent']['iqr']:.3g}), "
                       f"change better in {m['change_wins']}/{m['pairs']}, "
-                      f"claim_met {m['claim_met']}, within_bound {m['within_bound']}", flush=True)
+                      f"claim_met {m['claim_met']}, within_bound {m['within_bound']}, "
+                      f"unresolved {m['unresolved']}", flush=True)
         doc = bench_document(args.pr, sides, hashes, workloads, machine())
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
