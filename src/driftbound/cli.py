@@ -296,7 +296,10 @@ def load_observations(path: Path) -> Dataset:
         ys.append(y)
     if len(ys) < 2:
         raise ConfigError(f"data file {path!s} holds {len(ys)} values; need at least 2")
-    return Dataset(ys)
+    try:
+        return Dataset(ys)
+    except ModelError as exc:
+        raise ConfigError(f"data file {path!s}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

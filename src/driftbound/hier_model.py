@@ -24,12 +24,12 @@ criterion 6 compute it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import Polynomial, polyutils
+from numpy.polynomial import chebyshev as cheb
 
 from .bound_core import (
     DriftParameters,
@@ -74,6 +74,9 @@ _REL_TOL = 1e-12
 # the computed maximum by half the budget covers an error of up to 5e-10 on
 # either side, five orders of magnitude above that.
 _B_ROUNDING = 1e-9
+# _exact_sum splits each 53-bit significand into three limbs of this width
+_LIMB_BITS = 18
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class ModelError(Exception):
@@ -98,10 +101,20 @@ class Dataset:
     squares ``delta`` = sum_i (y_i - y_bar)^2, derived once from ``y`` with
     exactly accumulated sums.  ``Dataset(y)`` is the only constructor.
 
-    Each term of ``delta`` is the libm ``pow(y_i - y_bar, 2)`` that Python's
-    float ``**`` computes, formed at C speed with ``math.pow``: ``x*x``
-    rounds differently on about 1 in 1,200 standard normals, so it would
-    move ``delta`` in its last bit.
+    Both sums are :func:`_exact_sum`: the exact sum of the doubles, rounded
+    once, which is the one number ``math.fsum`` returns as well.  Each
+    double is an integer q with |q| < 2^53 times 2^(e-53); q splits into
+    three 18-bit limbs, and per exponent e a float64 ``np.bincount`` adds
+    each limb over the sample.  Every partial sum there is an integer below
+    n*2^18 in magnitude, so it is exact while that stays within 2^53, that
+    is for n < 2^35.  The buckets are combined in a Python int and rounded
+    by int true division, which CPython rounds correctly.
+
+    Each term of ``delta`` is ``np.float_power(y_i - y_bar, 2.0)``, which
+    calls libm ``pow`` per element, the function behind Python's float
+    ``**``: ``x*x`` and ``np.power`` round differently on about 1 in 1,200
+    standard normals, so either would move ``delta`` in its last bit.  A
+    ``y_bar`` or ``delta`` past the float range raises :class:`ModelError`.
     """
 
     y: np.ndarray
@@ -116,12 +129,39 @@ class Dataset:
         if not np.all(np.isfinite(arr)):
             raise ModelError("observations must be finite")
         n = int(arr.size)
-        mean = math.fsum(arr.tolist()) / n
+        try:
+            mean = _exact_sum(arr) / n
+        except OverflowError:
+            raise ModelError("y_bar overflows: the observations sum past the float range") \
+                from None
+        try:
+            with np.errstate(over="raise"):
+                delta = _exact_sum(np.float_power(arr - mean, 2.0))
+        except (FloatingPointError, OverflowError):
+            raise ModelError("delta overflows: the squared deviations sum past the float range") \
+                from None
         object.__setattr__(self, "y", arr)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "y_bar", mean)
-        squares = map(math.pow, (arr - mean).tolist(), itertools.repeat(2.0))
-        object.__setattr__(self, "delta", math.fsum(squares))
+        object.__setattr__(self, "delta", delta)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of the finite doubles ``x``, by the limb
+    argument in :class:`Dataset`'s docstring; raises ``OverflowError`` when
+    the exact total rounds past the float range."""
+    mant, exp = np.frexp(x)
+    q = np.ldexp(mant, 53).astype(np.int64)  # x = q * 2**(exp - 53), |q| < 2**53
+    lo = int(exp.min())
+    bucket = np.subtract(exp, lo, dtype=np.intp)
+    # q = l0 + l1*2**18 + l2*2**36, l0 and l1 in [0, 2**18), l2 in [-2**17, 2**17)
+    limbs = (q & _LIMB_MASK, (q >> _LIMB_BITS) & _LIMB_MASK, q >> 2 * _LIMB_BITS)
+    s0, s1, s2 = (np.bincount(bucket, weights=limb).tolist() for limb in limbs)
+    total = 0
+    for a, b, c in zip(reversed(s0), reversed(s1), reversed(s2)):  # bucket k weighs 2**k
+        total = (total << 1) + int(a) + (int(b) << _LIMB_BITS) + (int(c) << 2 * _LIMB_BITS)
+    scale = lo - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 @dataclass(frozen=True)
@@ -454,9 +494,18 @@ def drift_offset_b(
         return expected_drift(ds.y_bar, A, ds, cfg) - lambda_factor(A, v) * f_val
 
     lo, hi = spec.a_low, spec.a_high
-    p = Chebyshev.interpolate(lambda A: gain(A) * (v + A) ** 4, 4, domain=[lo, hi])
-    v_plus_a = p.identity(domain=p.domain) + v
-    roots = (p.deriv() * v_plus_a - 4.0 * p).truncate(4).roots().real
+    # Chebyshev coefficients in x on [-1, 1], where A = off + scl*x
+    off, scl = polyutils.mapparms([-1.0, 1.0], [lo, hi])
+
+    def scaled_gain(x):
+        A = off + scl * x
+        return gain(A) * (v + A) ** 4
+
+    p = cheb.chebinterpolate(scaled_gain, 4)
+    v_plus_a = cheb.chebadd(cheb.chebline(off, scl), v)
+    dp = cheb.chebder(p, 1, 1.0 / scl)  # d/dA = (dx/dA) d/dx
+    cubic = cheb.chebsub(cheb.chebmul(dp, v_plus_a), cheb.chebmul(4.0, p))[:4]
+    roots = (off + scl * cheb.chebroots(cubic)).real
     candidates = np.concatenate([[lo, hi], roots[(lo < roots) & (roots < hi)]])
     b_sup = float(np.max(gain(candidates)))
     if not (math.isfinite(b_sup) and b_sup >= 0.0):

@@ -134,12 +134,17 @@ class BinGrid:
 
     @staticmethod
     def equal_mass(theta_bar, a, shape: tuple[int, int] = (64, 64)) -> "BinGrid":
-        """Cuts at marginal quantiles of a reference sample."""
+        """Cuts at marginal quantiles of a reference sample.
+
+        Each marginal is sorted once: ``np.quantile`` reads only order
+        statistics, so the cuts are those of the unsorted sample, and its
+        partition of an already sorted copy is cheap.
+        """
         nx, ny = shape
         if nx < 2 or ny < 2:
             raise SimulationError("need at least a 2x2 grid")
-        qx = np.quantile(np.asarray(theta_bar, dtype=float), np.arange(1, nx) / nx)
-        qy = np.quantile(np.asarray(a, dtype=float), np.arange(1, ny) / ny)
+        qx = np.quantile(np.sort(np.asarray(theta_bar, dtype=float)), np.arange(1, nx) / nx)
+        qy = np.quantile(np.sort(np.asarray(a, dtype=float)), np.arange(1, ny) / ny)
         return BinGrid(theta_cuts=np.unique(qx), a_cuts=np.unique(qy))
 
 

@@ -139,6 +139,9 @@ def test_observation_file_formats(tmp_path):
     # fewer than two values: a malformed file, not a numerical failure
     ("data.txt", "", "holds 0 values"),
     ("data.json", "[0.25]", "holds 1 values"),
+    # finite values whose statistics overflow
+    ("data.txt", "1e200\n-1e200\n", "delta overflows"),
+    ("data.json", "[1e308, 1e308]", "y_bar overflows"),
 ])
 def test_malformed_observation_file_is_a_config_error(tmp_path, capsys, name, text, token):
     data = tmp_path / name

@@ -1,8 +1,13 @@
+import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftbound import cli
 from driftbound.acceptance import _gibbs_sweeps
@@ -37,7 +42,7 @@ from driftbound.hier_model import (
     lambda_factor,
     synth_dataset,
 )
-from driftbound.hier_model import _B_ROUNDING, _log_a_kernel, _log_a_peak
+from driftbound.hier_model import _B_ROUNDING, _exact_sum, _log_a_kernel, _log_a_peak
 from driftbound.numerics import RngStream
 
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -94,6 +99,90 @@ def test_dataset_statistics_are_the_exact_sums():
         assert ds.delta == math.fsum((v - mean) ** 2 for v in y.tolist())
     mean = math.fsum(normals.tolist()) / normals.size
     assert any((v - mean) * (v - mean) != (v - mean) ** 2 for v in normals.tolist())
+
+
+def _assert_exact_sum(x):
+    """_exact_sum(x) has the bits of the exact sum rounded once (a Fraction
+    total, rounded by int true division) and of math.fsum wherever fsum
+    returns; where the exact total rounds past the float range both raise."""
+    x = np.asarray(x, dtype=float)
+    try:
+        exact = float(sum(map(Fraction, x.tolist())))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(x)
+        return
+    got = _exact_sum(x)
+    assert got.hex() == exact.hex()
+    try:
+        fsum = math.fsum(x.tolist())
+    except OverflowError:  # fsum's intermediate overflow on a representable sum
+        return
+    assert got.hex() == fsum.hex()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.booleans())
+def test_exact_sum_is_fsum_on_any_finite_doubles(xs, cancel):
+    # hypothesis' floats span the whole exponent range, subnormals, signed
+    # zeros and the extremes; appending the negations (rotated, so the
+    # order differs) makes the total cancel exactly
+    if cancel:
+        xs = xs + [-v for v in xs[1:] + xs[:1]]
+    _assert_exact_sum(xs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(1, 100_000), st.integers(0, 1000), st.integers(0, 2**32 - 1))
+@example(100_000, 1000, 0)
+def test_exact_sum_is_fsum_on_wide_exponent_spreads(n, spread, seed):
+    # exponents spread over up to 2001 binades, one term in a hundred a zero,
+    # a subnormal or the smallest normal, and half of the second half
+    # cancelling the first exactly; |x| < 16*2^1000, so no total overflows
+    g = np.random.default_rng(seed)
+    x = np.ldexp(g.standard_normal(n), g.integers(-spread, spread + 1, n))
+    special = g.random(n) < 0.01
+    x[special] = g.choice([0.0, -0.0, 5e-324, -2.5e-323, 2.2250738585072014e-308],
+                          int(special.sum()))
+    half = n // 2
+    partner = x[half:2 * half]
+    cancel = g.random(half) < 0.5
+    partner[cancel] = -x[:half][cancel]
+    assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def test_exact_sum_overflow_and_fsum_intermediate_overflow():
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1.7e308, 1.7e308]))
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+    # a total just past the largest double that rounds back down to it
+    top = np.nextafter(np.inf, 0.0)
+    half_ulp = np.ldexp(1.0, 1023 - 53)
+    assert _exact_sum(np.array([top, half_ulp * 0.75])) == top
+
+
+def test_float_power_squares_are_libm_pow():
+    # delta's terms: float_power is libm pow per element, as math.pow and
+    # Python's float ** are, while x*x rounds differently on some of them
+    x = RngStream(5, 2).generator.standard_normal(1_000_000)
+    pow_squares = np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float, x.size)
+    assert np.array_equal(np.float_power(x, 2.0), pow_squares)
+    assert np.any(x * x != pow_squares)
+
+
+@pytest.mark.parametrize("ys, name", [
+    ([1e308, 1e308], "y_bar"),
+    ([1e200, -1e200], "delta"),
+    ([1.7e308, 1.7e308, -1.7e308], "delta"),   # y - y_bar itself overflows
+])
+def test_overflowing_statistics_are_a_model_error(ys, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no float_power RuntimeWarning either
+        with pytest.raises(ModelError, match=f"^{name} overflows"):
+            Dataset(ys)
 
 
 def test_data_assumption_examples():
@@ -447,6 +536,25 @@ def test_drift_offset_against_high_precision_supremum(cfg_name, n):
     mp.mp.dps = 30
     sup = _mp_band_sup(_mp_gain(ds, cfg), mp.mpf(spec.a_low), mp.mpf(spec.a_high))
     assert sup <= b <= sup * (1 + mp.mpf(_B_ROUNDING))
+
+
+@pytest.mark.parametrize("cfg_name,n", BAND_CASES + [("classic", 5), ("classic", 102_400)])
+def test_drift_offset_is_the_chebyshev_object_computation(cfg_name, n):
+    # drift_offset_b runs on coefficient arrays; the same arithmetic through
+    # numpy's Chebyshev objects gives the same bits
+    ds, cfg, spec = _band_case(cfg_name, n)
+
+    def gain(A):
+        f_val = drift_value_summary(ds.y_bar, A, ds, cfg)
+        return expected_drift(ds.y_bar, A, ds, cfg) - lambda_factor(A, cfg.V) * f_val
+
+    p = np.polynomial.Chebyshev.interpolate(lambda A: gain(A) * (cfg.V + A) ** 4, 4,
+                                            domain=[spec.a_low, spec.a_high])
+    v_plus_a = p.identity(domain=p.domain) + cfg.V
+    roots = (p.deriv() * v_plus_a - 4.0 * p).truncate(4).roots().real
+    inside = roots[(spec.a_low < roots) & (roots < spec.a_high)]
+    b_sup = float(np.max(gain(np.concatenate([[spec.a_low, spec.a_high], inside]))))
+    assert drift_offset_b(ds, cfg, spec) == b_sup * (1.0 + 0.5 * _B_ROUNDING)
 
 
 @pytest.mark.parametrize("cfg_name,n", BAND_CASES)

@@ -366,6 +366,14 @@ def test_trace_chain_burn_in_spans_segments():
 # ---------------------------------------------------------------------------
 
 
+def test_equal_mass_cuts_are_quantiles_of_the_unsorted_sample():
+    g = RngStream(5, 3).generator
+    tb, a = g.standard_normal(100_001), g.gamma(2.0, size=100_001)
+    bins = BinGrid.equal_mass(tb, a, (64, 48))
+    assert np.array_equal(bins.theta_cuts, np.unique(np.quantile(tb, np.arange(1, 64) / 64)))
+    assert np.array_equal(bins.a_cuts, np.unique(np.quantile(a, np.arange(1, 48) / 48)))
+
+
 def test_tv_identical_and_disjoint():
     g = RngStream(5, 0).generator
     pts = (g.normal(0, 1, 5_000), g.normal(0, 1, 5_000))
