@@ -63,27 +63,31 @@ vanishes only where (s - m_lo)(s - m_hi) = 2(r/2 - 1)(m_lo - m_hi)/(rho_lo
 - rho_hi) < 0, between m_lo and m_hi, below the support; so D' < 0 there and
 D falls from +inf at m_hi, where f_hi vanishes, to -inf.  The densities
 cross exactly once, at s*, with f_hi the smaller below it and f_lo above.
-s* is found by Newton steps in a shrinking bracket, and it is a breakpoint
-of both S quadratures.
+Over the S range [s_lo, s_hi], with s_lo = m_hi, the S factor is therefore
 
-Error budget: F is exact up to rounding; the mu and S factors are
-Gauss-Kronrod quadratures with a 1e-8 relative target, and every kink of
-their integrands is a breakpoint, so each panel is smooth.  On the default
-tight config, against 30-digit quadratures split at the same kinks, the mu
-factor is within 3e-14 at n = 100, and the S factor within 3e-14 at
-n = 100 and 7e-10 at n = 6400, where the residual lies in the long lower
-tail between m_hi and the lower law's mean.  Truncating the mu and S
-ranges only lowers the bound.
+    F_hi(x) + Q_lo(x) - Q_lo(s_hi),    x = min(s*, s_hi),
 
-Cost: a certificate makes three quadratures, of the S factor, the mu factor
-and the band mass.  The band mass integrates inf_A f_S times a tail weight
-over the S factor's range and breakpoints, so its abscissa arrays are
-nearly always the S factor's; it reads the S factor's infimum values there
-and evaluates the S density, whose endpoint constants are formed once per
-certificate, only on arrays the S factor never reached.  On the default
-config the three quadratures together make 17 integrand calls on 40
-panels at n = 100, and at n = 6400 16 calls on 38 panels at its own level
-or 18 on 42 at ``sweep-n``'s level, which the n = 100 row sets.
+with F_i and Q_i = 1 - F_i the regularized lower and upper incomplete gamma
+functions at (r/2)(s - m_i)/s2_i, the CDF and the tail of the law at A_i.
+x minimizes F_hi(x) + Q_lo(x), whose slope is f_hi - f_lo, so an error in
+x raises the value, and only at second order.  s* is found by Newton steps
+on D in log(s - m_hi), and it is a breakpoint of the band-mass quadrature.
+
+Error budget: F and the S factor are exact up to rounding; the mu factor is
+a Gauss-Kronrod quadrature with a 1e-8 relative target, and every kink of
+its integrand is a breakpoint, so each panel is smooth.  Against 30-digit
+quadratures split at the same kinks the mu factor is within 3e-14 at
+n = 100 on the default tight config.  Against 40-digit quadratures split at
+s* and around both laws' means, the S factor is within 4e-14 from n = 5 to
+6400 and 7e-14 at n = 1e6, on the tight and classic configs, wherever it
+exceeds 1e-30.  Truncating the mu and S ranges only lowers the bound.
+
+Cost: a certificate makes two quadratures, of the mu factor and of the band
+mass.  The band mass integrates inf_A f_S times a tail weight over the S
+range, split at both laws' means and at s*, and each endpoint's density
+constants are formed once per certificate.  On the default config the two
+make 12 integrand calls on 28 panels, at n = 100 and at n = 6400, at its
+own level or at ``sweep-n``'s, which the n = 100 row sets.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
@@ -192,11 +196,6 @@ def _s_endpoint_density(a, ds: Dataset, cfg: ModelConfig):
     return density
 
 
-def _s_density(box: SmallSetBox, ds: Dataset, cfg: ModelConfig):
-    """Density family f_S(A; s) of the reduced S law, vectorized in (A, s)."""
-    return lambda a, s: _s_endpoint_density(a, ds, cfg)(s)
-
-
 def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
 
@@ -212,13 +211,15 @@ def _endpoint_infimum(density, box: SmallSetBox, x):
 # ---------------------------------------------------------------------------
 
 def _s_crossings(m_ends, s2_ends, r: int, s_hi: float) -> list[float]:
-    """The points below s_hi where the two endpoint S densities cross, from
-    the shifts m and scales s2 of their laws at (a_low, a_high).
+    """Where the two endpoint S densities cross below s_hi, as offsets
+    t = s - m_hi above the upper shift, from the shifts m and scales s2 of
+    their laws at (a_low, a_high).
 
     D = log f_lo - log f_hi falls from +inf to -inf on the support (see the
     module docstring), so there is one crossing, or none if it lies past
-    s_hi.  It is found by Newton's method on D, kept inside a bracket that
-    shrinks at every step and bisected when a step would leave it.
+    s_hi.  It is found by Newton's method on D in log t, kept inside a bracket
+    that shrinks at every step and bisected when a step would leave it.  The
+    offset stays precise where s* is within a float spacing of m_hi.
     """
     half = 0.5 * r
     m_lo, m_hi = (float(m) for m in m_ends)
@@ -226,40 +227,37 @@ def _s_crossings(m_ends, s2_ends, r: int, s_hi: float) -> list[float]:
     log_rho_ratio = math.log(rho_lo / rho_hi)
     dm, drho = m_hi - m_lo, rho_lo - rho_hi
 
-    def d_and_slope(s):
-        t = s - m_hi
+    def d_and_slope(t):
         d = (half * log_rho_ratio + (half - 1.0) * math.log1p(dm / t)
              - 0.5 * (drho * t + rho_lo * dm))
-        return d, (half - 1.0) * (1.0 / (t + dm) - 1.0 / t) - 0.5 * drho
+        return d, -(half - 1.0) * dm / (t + dm) - 0.5 * drho * t  # slope in log t
 
-    d, slope = d_and_slope(s_hi)
+    t = s_hi - m_hi
+    d, slope = d_and_slope(t)
     if d >= 0.0:
         return []
-    lo, hi, x = m_hi, s_hi, s_hi
+    lo, hi = 0.0, t
     for _ in range(100):
         if d > 0.0:
-            lo = x
+            lo = t
         else:
-            hi = x
-        x_next = x - d / slope
-        if abs(x_next - x) <= 1e-13 * x:
+            hi = t
+        t_next = math.exp(min(math.log(t) - d / slope, math.log(hi)))
+        if abs(t_next - t) <= 1e-13 * t:
             break
-        if not lo < x_next < hi:
-            x_next = 0.5 * (lo + hi)
-        x = x_next
-        d, slope = d_and_slope(x)
-    return [x]
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        t = t_next
+        d, slope = d_and_slope(t)
+    return [t]
 
 
 def _s_infimum(box, ds, cfg):
-    """inf_A f_S(A; s) as an integrand over s, and its integration range
-    (s_lo, s_hi, breakpoints): the endpoint laws' means and the crossing of
-    the two endpoint densities, where the infimum has a kink.
-
-    Each endpoint's density constants are formed once, and the values at
-    every abscissa array the integrand is called with are kept for the
-    integrand's lifetime, so a second quadrature that shares panels with the
-    first reads them instead of evaluating the density again.
+    """inf_A f_S(A; s) as an integrand over s, its integral over the range
+    in closed form (the S factor), and the range (s_lo, s_hi, breakpoints):
+    the endpoint laws' means and the crossing of the two endpoint densities,
+    where the infimum has a kink.  Each endpoint's density constants are
+    formed once.
     """
     n = ds.n
     if n < 5:
@@ -270,20 +268,19 @@ def _s_infimum(box, ds, cfg):
     width = float(np.max(s2_ends)) * math.sqrt(2.0 / (n - 1))
     s_lo = float(np.max(m_ends))
     s_hi = float(np.max(m_ends + s2_ends)) + 14.0 * width
-    kinks = _s_crossings(m_ends, s2_ends, n - 1, s_hi)
-    breaks = sorted(set(float(x) for x in (*(m_ends + s2_ends), *kinks) if s_lo < x < s_hi))
+    crossings = _s_crossings(m_ends, s2_ends, n - 1, s_hi)
+    kinks = (*(m_ends + s2_ends), *(s_lo + t for t in crossings))
+    breaks = sorted(set(float(x) for x in kinks if s_lo < x < s_hi))
+
+    # the S factor F_hi(x) + Q_lo(x) - Q_lo(s_hi) (module docstring), x = s_lo + t
+    half, t_hi = 0.5 * (n - 1), s_hi - s_lo
+    t = crossings[0] if crossings else t_hi
+    q_lo = gammaincc(half, half * (np.array([t, t_hi]) + (m_ends[1] - m_ends[0])) / s2_ends[0])
+    s_factor = float(gammainc(half, half * t / s2_ends[1]) + q_lo[0] - q_lo[1])
 
     dens_lo = _s_endpoint_density(box.a_low, ds, cfg)
     dens_hi = _s_endpoint_density(box.a_high, ds, cfg)
-    kept = {}
-
-    def infimum(s):
-        key = s.tobytes()
-        if key not in kept:
-            kept[key] = np.minimum(dens_lo(s), dens_hi(s))
-        return kept[key]
-
-    return infimum, (s_lo, s_hi, breaks)
+    return lambda s: np.minimum(dens_lo(s), dens_hi(s)), s_factor, (s_lo, s_hi, breaks)
 
 
 def _theta_bar_overlap(mu, box, ds, cfg):
@@ -353,14 +350,14 @@ def uniform_component(
     cfg: ModelConfig,
     large_set: LargeSetSpec,
 ) -> tuple[float, float]:
-    """Volume epsilon and band mass of the uniform component; the band-mass
-    quadrature reuses the S factor's infimum values.
+    """Volume epsilon and band mass of the uniform component.
 
-    epsilon is the product of the S factor (a quadrature of the endpoint
-    infimum of the S density) and the mu factor (one quadrature of
-    closed-form terms), capped at 1.  The endpoint infima are exact by the
-    argument in the module docstring, which needs n >= 5 (smaller n raises
-    MinorizationError, as does a volume that is not positive).
+    epsilon is the product of the S factor (the integral of the endpoint
+    infimum of the S density, in closed form) and the mu factor (one
+    quadrature of closed-form terms), capped at 1.  The endpoint infima are
+    exact by the argument in the module docstring, which needs n >= 5
+    (smaller n raises MinorizationError, as does a volume that is not
+    positive).
 
     The component's A-coordinate is exactly inverse-gamma with shape
     a + (n-1)/2 and scale b + (n-1)S/2 under the component's S law, so the
@@ -368,10 +365,10 @@ def uniform_component(
 
         integral inf_S * tail(S) / integral inf_S,
 
-    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.
+    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form; the
+    numerator is a quadrature and the denominator the S factor.
     """
-    s_inf, (s_lo, s_hi, breaks) = _s_infimum(box, ds, cfg)
-    s_factor = integrate(s_inf, s_lo, s_hi, breakpoints=breaks)
+    s_inf, s_factor, (s_lo, s_hi, breaks) = _s_infimum(box, ds, cfg)
     eps = s_factor * _mu_factor(box, ds, cfg)
     if not (eps > 0.0):  # so s_factor > 0 too
         raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")

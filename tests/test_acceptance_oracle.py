@@ -130,6 +130,14 @@ def test_criterion_1_keeps_its_value_at_smoke_scale(smoke_run):
     assert results["1"].passed
 
 
+def test_criterion_4_reports_its_smallest_clamped_bound(smoke_run):
+    # the raw bound stays above 1 through k = 200, so the clamped curve is 1
+    # at every step and no binned TV can exceed it: the check is vacuous
+    results, _, _ = smoke_run
+    assert results["4"].measured["min_clamped_bound"] == 1.0
+    assert results["4"].passed
+
+
 def test_criteria_report_their_names_and_thresholds(smoke_run):
     results, _, _ = smoke_run
     assert [(r.name, r.threshold) for r in results.values()] == [

@@ -130,3 +130,34 @@ def test_unresolved_when_the_parent_spread_is_wider_than_the_gap(change, unresol
 def test_machine_names_the_toolchain():
     assert set(evidence.machine()) == {"cpu_count", "cpus_usable", "platform", "python",
                                        "numpy", "scipy"}
+
+
+def test_a_differing_output_records_its_first_differing_line(tmp_path):
+    for side, eps, tail in (("parent", "2.6244e-4", "K_bar,62586\n"),
+                            ("change", "2.6245e-4", "K_bar,62586\nN_c,5\n")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "bound_curve.csv").write_text(f"k,bound\nepsilon,{eps}\n{tail}")
+        (tmp_path / side / "validation_report.json").write_text(json.dumps(
+            [{"name": "1", "measured": {"p": 0.5}, "seconds": 1.0},
+             {"name": "2", "measured": {"x": 1.0 if side == "parent" else 2.0}, "seconds": 3.0}]))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert evidence.first_difference(parent / "bound_curve.csv", change / "bound_curve.csv") == {
+        "line": 2, "parent": "epsilon,2.6244e-4", "change": "epsilon,2.6245e-4"}
+    # a validation report differs by criterion, never by its times
+    assert evidence.first_difference(parent / "validation_report.json",
+                                     change / "validation_report.json") == {
+        "line": 2, "parent": '["2", {"x": 1.0}]', "change": '["2", {"x": 2.0}]'}
+    # one side ends first: its text past the end is None
+    (change / "bound_curve.csv").write_text("k,bound\nepsilon,2.6244e-4\nK_bar,62586\nN_c,5\n")
+    assert evidence.first_difference(parent / "bound_curve.csv", change / "bound_curve.csv") == {
+        "line": 4, "parent": "", "change": "N_c,5"}
+
+    hashes = {"parent": {"bound-curve/bound_curve.csv": "aa", "simulate/ensemble.csv": "bb"},
+              "change": {"bound-curve/bound_curve.csv": "ab", "simulate/ensemble.csv": "bb"}}
+    difference = {"line": 2, "parent": "epsilon,2.6244e-4", "change": "epsilon,2.6245e-4"}
+    sides = {"parent": {"commit": "p" * 40}, "change": {"commit": "c" * 40}}
+    doc = evidence.bench_document(7, sides, hashes, {}, {},
+                                  {"bound-curve/bound_curve.csv": difference})
+    assert doc["outputs"]["bound-curve/bound_curve.csv"] == {
+        "parent": "aa", "change": "ab", "identical": False, "first_difference": difference}
+    assert "first_difference" not in doc["outputs"]["simulate/ensemble.csv"]

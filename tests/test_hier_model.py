@@ -761,9 +761,8 @@ def test_assemble_rejects_off_center_large_set():
         assemble_gibbs_bound(ds, TIGHT, large_set=LargeSetSpec(T=0.05, center=0.2), k_max=5)
 
 
-def test_assemble_integrates_the_s_factor_once(monkeypatch):
-    # the S factor, its tail-weighted twin and the mu factor: three
-    # quadratures per certificate, the S factor shared by epsilon and q
+def test_assemble_makes_two_quadratures(monkeypatch):
+    # the mu factor and the band mass; the S factor is a closed form
     from driftbound import minorization
 
     calls = []
@@ -775,7 +774,7 @@ def test_assemble_integrates_the_s_factor_once(monkeypatch):
 
     monkeypatch.setattr(minorization, "integrate", counted)
     assemble_gibbs_bound(tight_data(), TIGHT, k_max=5)
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
 
 
 def test_assemble_rejects_bad_data():

@@ -28,14 +28,14 @@ from driftbound.minorization import (
     _normal_pdf,
     _pair_overlap,
     _s_crossings,
-    _s_density,
+    _s_endpoint_density,
     _s_infimum,
     _s_shift_scale,
     _theta_bar_overlap,
     overlap_oracle_mc,
     uniform_component,
 )
-from driftbound.numerics import RngStream, integrate_with_error
+from driftbound.numerics import RngStream
 
 TIGHT = ModelConfig(V=8e-4, prior_shape_a=3.0, prior_scale_b=0.2, delta_margin=0.08)
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -88,6 +88,11 @@ def test_volume_nonincreasing_in_box_width(tight100):
     assert all(0.0 < v <= 1.0 for v in values)
 
 
+def _s_family(ds, cfg):
+    """Density family f_S(A; s) of the reduced S law, vectorized in (A, s)."""
+    return lambda a, s: _s_endpoint_density(a, ds, cfg)(s)
+
+
 def _theta_bar_density(mu: float, ds, cfg):
     """Density family of the post-update theta_bar given mu, vectorized in
     (A, theta_bar): N((mu*V + y_bar*A)/(V+A), A*V/((V+A)*n))."""
@@ -130,7 +135,7 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
         m = (a_ends / (cfg.V + a_ends)) ** 2 * ds.delta / (n - 1)
         s_hi = float(np.max(m + s2) + 14.0 * np.max(s2) * math.sqrt(2.0 / (n - 1)))
         s = np.linspace(float(np.min(m)), s_hi, 301)[1:]
-        compared["s"] += _compare_with_dense_grid(_s_density(box, ds, cfg), box, s)
+        compared["s"] += _compare_with_dense_grid(_s_family(ds, cfg), box, s)
 
         # mu stage, over the mu integration range
         sd = math.sqrt(box.a_high / n)
@@ -148,42 +153,24 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
     assert min(compared.values()) > 100, compared
 
 
-def _certificate_integrands(monkeypatch, box, ds, cfg, spec):
-    """The integrands of the three quadratures of one uniform_component call,
-    in call order: the S factor, the mu factor and the band mass."""
-    integrands = []
-    real = minorization.integrate
-
-    def recording(f, a, b, breakpoints=None):
-        integrands.append(f)
-        return real(f, a, b, breakpoints)
-
-    monkeypatch.setattr(minorization, "integrate", recording)
-    uniform_component(box, ds, cfg, spec)
-    monkeypatch.undo()
-    assert len(integrands) == 3
-    return integrands
-
-
 @pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
                          ids=["tight", "classic"])
 @pytest.mark.parametrize("n", [5, 100, 6400])
-def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(monkeypatch, cfg, center, n):
-    # the S factor's integrand is the endpoint infimum of the one written
-    # S density, bit for bit, on both sides of the chi-square support
+def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(cfg, center, n):
+    # the band mass integrates the endpoint infimum of the one written S
+    # density, bit for bit, on both sides of the chi-square support
     ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
-    spec = default_large_set(ds, cfg)
     for frac in (0.002, 0.02):
         box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
-        s_factor_integrand = _certificate_integrands(monkeypatch, box, ds, cfg, spec)[0]
+        s_inf = _s_infimum(box, ds, cfg)[0]
         a_ends = np.array([box.a_low, box.a_high])
         s2 = a_ends * cfg.V / (cfg.V + a_ends)
         m = (a_ends / (cfg.V + a_ends)) ** 2 * ds.delta / (n - 1)
         # the S-factor range, extended below both shifts by its own length
         s_hi = float(np.max(m + s2) + 14.0 * np.max(s2) * math.sqrt(2.0 / (n - 1)))
         s = np.linspace(2.0 * float(np.max(m)) - s_hi, s_hi, 401)
-        expected = _endpoint_infimum(_s_density(box, ds, cfg), box, s)
-        assert s_factor_integrand(s).tobytes() == expected.tobytes()
+        expected = _endpoint_infimum(_s_family(ds, cfg), box, s)
+        assert s_inf(s).tobytes() == expected.tobytes()
         # the chi-square argument is <= 0 at some abscissae for each endpoint
         assert np.any(s <= m[0]) and np.any(s <= m[1])
         assert np.any(expected == 0.0) and np.any(expected > 0.0)
@@ -204,10 +191,12 @@ def test_s_crossings_are_the_sign_changes_of_the_log_density_ratio(cfg, center, 
     for frac in (0.002, 0.02, 0.3, 0.9):
         ds, box = _box(cfg, center, n, frac)
         m, s2, s_lo, s_hi = _s_range(box, ds, cfg)
-        crossings = _s_crossings(m, s2, n - 1, s_hi)
-        # the certificate's S quadratures break at every crossing
-        _, (lo, hi, breaks) = _s_infimum(box, ds, cfg)
-        assert (lo, hi) == (s_lo, s_hi) and set(crossings) <= set(breaks)
+        crossings = [s_lo + t for t in _s_crossings(m, s2, n - 1, s_hi)]
+        # the band-mass quadrature breaks at every crossing it can tell
+        # apart from the start of the range
+        _, _, (lo, hi, breaks) = _s_infimum(box, ds, cfg)
+        assert (lo, hi) == (s_lo, s_hi)
+        assert {c for c in crossings if c > s_lo} <= set(breaks)
 
         # at s_lo the upper law's density is 0, so the ratio is +inf there
         s = np.linspace(s_lo, s_hi, 200_001)
@@ -226,42 +215,71 @@ def test_s_crossings_are_the_sign_changes_of_the_log_density_ratio(cfg, center, 
     assert found > 0
 
 
-def _mp_s_factor(box, ds, cfg, edges):
-    """integral of min(f_lo, f_hi) of the reduced S law by 30-digit tanh-sinh
-    quadrature over the given edges, from the same float shifts and scales."""
+def _mp_s_factor(box, ds, cfg, s_lo, s_hi):
+    """integral over [s_lo, s_hi] of min(f_lo, f_hi) of the reduced S law by
+    40-digit tanh-sinh quadrature, from the same float shifts and scales;
+    split at the crossing, found by bisection in log(s - s_lo), at points
+    closing in on it, and every two standard deviations of either law."""
     m, s2 = _s_shift_scale(np.array([box.a_low, box.a_high]), ds, cfg)
-    with mp.workdps(30):
+    with mp.workdps(40):
         r = mp.mpf(ds.n - 1)
         half = r / 2
         ends = [(mp.mpf(float(mi)), r / mp.mpf(float(si))) for mi, si in zip(m, s2)]
         const = -half * mp.log(2) - mp.loggamma(half)
 
-        def integrand(s):
-            return mp.exp(min(half * mp.log(k) + (half - 1) * mp.log(s - mi)
-                              - k * (s - mi) / 2 + const for mi, k in ends))
+        def log_f(s, mi, k):
+            return half * mp.log(k) + (half - 1) * mp.log(s - mi) - k * (s - mi) / 2 + const
 
-        return float(mp.quad(integrand, [mp.mpf(e) for e in edges]))
+        def log_ratio(u):
+            s = lo + mp.exp(u)
+            return log_f(s, *ends[0]) - log_f(s, *ends[1])
+
+        lo, hi = mp.mpf(s_lo), mp.mpf(s_hi)
+        edges = {lo, hi}
+        u_a, u_b = mp.log(hi - lo) - 300, mp.log(hi - lo)
+        if log_ratio(u_b) < 0:
+            for _ in range(400):
+                u_mid = (u_a + u_b) / 2
+                u_a, u_b = (u_mid, u_b) if log_ratio(u_mid) > 0 else (u_a, u_mid)
+            x, sd = lo + mp.exp(u_a), mp.sqrt(2 * r) / ends[1][1]
+            edges.update(e for j in range(8) for e in (x, x - sd / 4**j, x + sd / 4**j)
+                         if lo < e < hi)
+        for mi, k in ends:
+            mean, sd = mi + r / k, mp.sqrt(2 * r) / k
+            edges.update(e for e in (mean + j * sd for j in range(-40, 41, 2)) if lo < e < hi)
+        return float(mp.quad(lambda s: mp.exp(min(log_f(s, *e) for e in ends)), sorted(edges)))
 
 
-@pytest.mark.parametrize("n,rel", [(100, 1e-12), (6400, 1e-9)])
-def test_s_factor_matches_mpmath(n, rel):
-    # at n = 6400 the residual error, 7e-10 relative, sits in the long lower
-    # tail between the support's start and the lower law's mean, not at the
-    # crossing; it is within the quadrature's own error estimate
-    ds = synth_dataset(n, 0.1, TIGHT, RngStream(7, 0), exact_center=True)
-    spec = default_large_set(ds, TIGHT)
-    d = default_small_set_level(drift_offset_b(ds, TIGHT, spec), lambda_T(spec, TIGHT.V))
-    box = SmallSetBox.from_level(d, ds, TIGHT)
-    s_inf, (lo, hi, breaks) = _s_infimum(box, ds, TIGHT)
-    got, err = integrate_with_error(s_inf, lo, hi, breakpoints=breaks)
-    ref = _mp_s_factor(box, ds, TIGHT, [lo, *breaks, hi])
-    assert abs(got - ref) <= err
-    assert got == pytest.approx(ref, rel=rel)
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 1600, 6400])
+def test_s_factor_matches_mpmath(cfg, center, n):
+    # the certificate's own small set, or halfwidth 0.9 * center where that
+    # one would reach A <= 0 (classic at n = 5)
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    spec = default_large_set(ds, cfg)
+    d = default_small_set_level(drift_offset_b(ds, cfg, spec), lambda_T(spec, cfg.V))
+    if d >= n * center**2:
+        d = n * (0.9 * center) ** 2
+    box = SmallSetBox.from_level(d, ds, cfg)
+    _, s_factor, (lo, hi, _) = _s_infimum(box, ds, cfg)
+    assert s_factor == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+def test_s_factor_matches_mpmath_at_large_n(cfg, center):
+    # here an adaptive quadrature of the same integrand stops 1.7e-6 (tight)
+    # and 6.4e-5 (classic) below the reference, far outside its own error
+    # estimate; the closed form has no stopping rule to get wrong
+    ds, box = _box(cfg, center, 1_000_000, 0.002)
+    _, s_factor, (lo, hi, _) = _s_infimum(box, ds, cfg)
+    assert s_factor == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi), rel=1e-13, abs=0.0)
 
 
 def test_one_certificate_evaluates_the_s_density_once_per_abscissa_array(monkeypatch):
-    # the band-mass quadrature reads the S factor's infimum values where the
-    # two quadratures share an abscissa array
+    # the S factor is a closed form, so the band mass is the certificate's
+    # one quadrature of the S density, and it never repeats an abscissa array
     cfg = cli.ExperimentConfig.from_dict(cli.default_config_dict())
     ds = cfg.resolve_dataset(n=100)
     evaluations = Counter()

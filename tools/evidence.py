@@ -17,7 +17,8 @@ and prints their sha256.  Then, for each workload of the change's
 --seconds S --seed K`` at that file's ``run_seconds``, seeds 11 to 20, one
 per pair, the parent first in even pairs and the change first in odd ones.
 
-``BENCH_<pr>.json`` at the root of the repository holds the hashes, every
+``BENCH_<pr>.json`` at the root of the repository holds the hashes, with
+each side's first differing line of every output whose hash differs, every
 run's end-to-end metrics, each metric's median and quartiles on both sides,
 the pairs the change won, the seeds and the machine, and two verdicts per
 workload and metric:
@@ -99,6 +100,24 @@ def _digest(path: Path) -> str:
         doc = json.loads(data)
         data = json.dumps([[r["name"], r["measured"]] for r in doc], sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def _lines(path: Path) -> list[str]:
+    """The hashed content line by line; a validation report's one criterion
+    a line."""
+    data = path.read_bytes()
+    if path.name == "validation_report.json":
+        return [json.dumps([r["name"], r["measured"]], sort_keys=True) for r in json.loads(data)]
+    return data.decode("utf-8").split("\n")
+
+
+def first_difference(parent: Path, change: Path) -> dict:
+    """The first line, counted from 1, at which two outputs differ, with each
+    side's text there (None past the end of that side)."""
+    a, b = _lines(parent), _lines(change)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return {"line": i + 1, "parent": a[i] if i < len(a) else None,
+            "change": b[i] if i < len(b) else None}
 
 
 def output_hashes(tree: Path, out_dir: Path) -> dict:
@@ -187,16 +206,20 @@ def machine() -> dict:
     }
 
 
-def bench_document(pr: int, sides: dict, hashes: dict, workloads: dict, machine_info: dict) -> dict:
+def bench_document(pr: int, sides: dict, hashes: dict, workloads: dict, machine_info: dict,
+                   differences: dict | None = None) -> dict:
     """The BENCH_<pr>.json layout.  ``sides[side]`` is what
     :func:`export_tree` returns; ``workloads[w]`` carries ``seconds``,
     ``seeds``, ``first`` (the side run first in each pair), ``runs`` and
-    ``metrics`` (see :func:`summarize`)."""
+    ``metrics`` (see :func:`summarize`); ``differences[key]`` is the
+    :func:`first_difference` of an output whose hash differs."""
     outputs = {
         key: {"parent": hashes["parent"][key], "change": hashes["change"][key],
               "identical": hashes["parent"][key] == hashes["change"][key]}
         for key in hashes["parent"]
     }
+    for key, difference in (differences or {}).items():
+        outputs[key]["first_difference"] = difference
     return {
         "pr": pr,
         "parent": sides["parent"],
@@ -224,6 +247,13 @@ def main(argv=None) -> int:
             hashes[side] = output_hashes(trees[side], trees[side] / "evidence_out")
             for key, digest in hashes[side].items():
                 print(f"{side:6s} {digest}  {key}", flush=True)
+        differences = {
+            key: first_difference(*(trees[side] / "evidence_out" / key for side in SIDES))
+            for key in hashes["parent"] if hashes["parent"][key] != hashes["change"][key]
+        }
+        for key, difference in differences.items():
+            print(f"{key} differs from line {difference['line']}: "
+                  f"{difference['parent']!r} -> {difference['change']!r}", flush=True)
 
         workloads = {}
         for name in names:
@@ -245,7 +275,7 @@ def main(argv=None) -> int:
                       f"change better in {m['change_wins']}/{m['pairs']}, "
                       f"claim_met {m['claim_met']}, within_bound {m['within_bound']}, "
                       f"unresolved {m['unresolved']}", flush=True)
-        doc = bench_document(args.pr, sides, hashes, workloads, machine())
+        doc = bench_document(args.pr, sides, hashes, workloads, machine(), differences)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     path = REPO / f"BENCH_{args.pr}.json"
