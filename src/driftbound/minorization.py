@@ -85,9 +85,13 @@ exceeds 1e-30.  Truncating the mu and S ranges only lowers the bound.
 Cost: a certificate makes two quadratures, of the mu factor and of the band
 mass.  The band mass integrates inf_A f_S times a tail weight over the S
 range, split at both laws' means and at s*, and each endpoint's density
-constants are formed once per certificate.  On the default config the two
-make 12 integrand calls on 28 panels, at n = 100 and at n = 6400, at its
-own level or at ``sweep-n``'s, which the n = 100 row sets.
+constants are formed once per certificate.  So are the mu integrand's box
+constants, the variances and normalizers of the two corner normals and F's
+u_hi - u_lo, v_lo, v_hi, log(v_hi/v_lo) and square roots; a call forms the
+far corner and its squared distance once, for both endpoints.  On the
+default config the two make 12 integrand calls on 28 panels, at n = 100
+and at n = 6400, at its own level or at ``sweep-n``'s, which the n = 100
+row sets.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
@@ -196,16 +200,6 @@ def _s_endpoint_density(a, ds: Dataset, cfg: ModelConfig):
     return density
 
 
-def _normal_pdf(x, mean, var):
-    return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
-
-
-def _endpoint_infimum(density, box: SmallSetBox, x):
-    """inf over A in [a_low, a_high] of density(A, x), pointwise in x; exact
-    for the three families here (see the module docstring)."""
-    return np.minimum(density(box.a_low, x), density(box.a_high, x))
-
-
 # ---------------------------------------------------------------------------
 # the three factors
 # ---------------------------------------------------------------------------
@@ -283,8 +277,9 @@ def _s_infimum(box, ds, cfg):
     return lambda s: np.minimum(dens_lo(s), dens_hi(s)), s_factor, (s_lo, s_hi, breaks)
 
 
-def _theta_bar_overlap(mu, box, ds, cfg):
-    """F(mu) in closed form, vectorized in mu (see the module docstring)."""
+def _theta_bar_overlap(box, ds, cfg):
+    """F(mu) in closed form as a function of mu, vectorized, with the box
+    constants formed once (see the module docstring)."""
     n, v = ds.n, cfg.V
     a_lo, a_hi = box.a_low, box.a_high
     du = v * (a_hi - a_lo) / ((v + a_lo) * (v + a_hi))  # u_hi - u_lo, u = A/(V+A)
@@ -292,45 +287,44 @@ def _theta_bar_overlap(mu, box, ds, cfg):
     dv = v * du / n                                     # v_hi - v_lo
     v_hi = v_lo + dv
     log_ratio = math.log1p(dv / v_lo)                   # log(v_hi / v_lo)
-    delta = (ds.y_bar - np.asarray(mu, dtype=float)) * du  # m_hi - m_lo
-
-    # 2*v_lo*v_hi*log(N_lo/N_hi) = -dv*t^2 + b*t + c, with two real roots
-    b = -2.0 * v_lo * delta
-    c = v_lo * (delta**2 + v_hi * log_ratio)
-    root_disc = 2.0 * np.sqrt(v_lo * v_hi * (delta**2 + dv * log_ratio))
-    q = -0.5 * (b + np.copysign(root_disc, b))
-    r1, r2 = -q / dv, c / q
-    t_a, t_b = np.minimum(r1, r2), np.maximum(r1, r2)
-
-    # the minimum is N_lo outside [t_a, t_b] and N_hi inside
     sd_lo, sd_hi = math.sqrt(v_lo), math.sqrt(v_hi)
-    tails_lo = ndtr(t_a / sd_lo) + ndtr(-t_b / sd_lo)
-    z_a, z_b = (t_a - delta) / sd_hi, (t_b - delta) / sd_hi
-    # a CDF difference is taken in the tail where both terms are small
-    middle_hi = np.where(z_a > 0.0, ndtr(-z_a) - ndtr(-z_b), ndtr(z_b) - ndtr(z_a))
-    return tails_lo + middle_hi
+    y_bar, b_scale, v_prod = ds.y_bar, -2.0 * v_lo, v_lo * v_hi
+    c_shift, disc_shift = v_hi * log_ratio, dv * log_ratio
+
+    def overlap(mu):
+        delta = (y_bar - np.asarray(mu, dtype=float)) * du  # m_hi - m_lo
+        delta_sq = delta**2
+        # 2*v_lo*v_hi*log(N_lo/N_hi) = -dv*t^2 + b*t + c, with two real roots
+        b = b_scale * delta
+        c = v_lo * (delta_sq + c_shift)
+        root_disc = 2.0 * np.sqrt(v_prod * (delta_sq + disc_shift))
+        q = -0.5 * (b + np.copysign(root_disc, b))
+        r1, r2 = -q / dv, c / q
+        t_a, t_b = np.minimum(r1, r2), np.maximum(r1, r2)
+
+        # the minimum is N_lo outside [t_a, t_b] and N_hi inside
+        tails_lo = ndtr(t_a / sd_lo) + ndtr(-t_b / sd_lo)
+        z_a, z_b = (t_a - delta) / sd_hi, (t_b - delta) / sd_hi
+        # a CDF difference is taken in the tail where both terms are small
+        middle_hi = np.where(z_a > 0.0, ndtr(-z_a) - ndtr(-z_b), ndtr(z_b) - ndtr(z_a))
+        return tails_lo + middle_hi
+
+    return overlap
 
 
-def _mu_inf_density(box, n):
-    """Per-mu infimum over box corners of N(theta_bar0, A0/n; mu)."""
-    tb_c, hw = box.theta_bar_center, box.halfwidth
-
-    def dens(a0, mu):
-        a0 = np.asarray(a0, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        tb_far = np.where(mu >= tb_c, tb_c - hw, tb_c + hw)
-        return _normal_pdf(mu, tb_far, a0 / n)
-
-    return dens
-
-
-def _mu_factor(box, ds, cfg) -> float:
-    """Integral over mu of F(mu) times the corner infimum of N(theta_bar0,
-    A0/n; mu), truncated 12 standard deviations beyond the corner means."""
+def _mu_integrand(box, ds, cfg):
+    """F(mu) times the infimum over box corners of N(theta_bar0, A0/n; mu),
+    as an integrand over mu, and its range (lo, hi, breakpoints): 12
+    standard deviations beyond the corner means, split at the integrand's
+    kinks.  The box constants are formed once; the far corner and its
+    squared distance once per call.
+    """
     n = ds.n
     tb_c, hw = box.theta_bar_center, box.halfwidth
     a_lo, a_hi = box.a_low, box.a_high
-    mu_dens = _mu_inf_density(box, n)
+    overlap = _theta_bar_overlap(box, ds, cfg)
+    var_lo, var_hi = a_lo / n, a_hi / n
+    norm_lo, norm_hi = math.sqrt(2.0 * math.pi * var_lo), math.sqrt(2.0 * math.pi * var_hi)
     sd_max = math.sqrt(a_hi / n)
     lo = tb_c - hw - 12.0 * sd_max
     hi = tb_c + hw + 12.0 * sd_max
@@ -339,9 +333,20 @@ def _mu_factor(box, ds, cfg) -> float:
 
     def integrand(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        return _endpoint_infimum(mu_dens, box, mu) * _theta_bar_overlap(mu, box, ds, cfg)
+        tb_far = np.where(mu >= tb_c, tb_c - hw, tb_c + hw)
+        neg_half_sq = -0.5 * (mu - tb_far) ** 2
+        corner = np.minimum(np.exp(neg_half_sq / var_lo) / norm_lo,
+                            np.exp(neg_half_sq / var_hi) / norm_hi)
+        return corner * overlap(mu)
 
-    return integrate(integrand, lo, hi, breakpoints=[tb_c - hw + r, tb_c, tb_c + hw - r])
+    return integrand, (lo, hi, [tb_c - hw + r, tb_c, tb_c + hw - r])
+
+
+def _mu_factor(box, ds, cfg) -> float:
+    """Integral over mu of F(mu) times the corner infimum of N(theta_bar0,
+    A0/n; mu), truncated 12 standard deviations beyond the corner means."""
+    integrand, (lo, hi, breaks) = _mu_integrand(box, ds, cfg)
+    return integrate(integrand, lo, hi, breakpoints=breaks)
 
 
 def uniform_component(

@@ -350,12 +350,38 @@ def test_sweep_rejects_file_data(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_malformed_n_list(tmp_path, capsys):
+def test_sweep_rejects_malformed_n_list(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep"
     rc = cli.main(["sweep-n", "--n-list", "100,x", "--out", str(out)])
     assert rc == 1
     assert "config error: --n-list entry 'x' is not an integer" in capsys.readouterr().err
     assert not out.exists()
+
+    # impossible and repeated sample sizes are config errors, found before
+    # any certificate is computed or the output directory is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep-n computed a certificate for a refused --n-list")
+
+    monkeypatch.setattr(cli, "assemble_gibbs_bound", refuse)
+    for n_list, message in [
+        ("0,100", "--n-list entry 0 is not a sample size: need n >= 2"),
+        ("1", "--n-list entry 1 is not a sample size: need n >= 2"),
+        ("-3", "--n-list entry -3 is not a sample size: need n >= 2"),
+        ("100,100", "--n-list names sample sizes more than once: [100]"),
+        ("400,100,400,6400,100", "--n-list names sample sizes more than once: [400, 100]"),
+    ]:
+        rc = cli.main(["sweep-n", f"--n-list={n_list}", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+    monkeypatch.undo()
+
+    # below n = 5 a sample size is valid but has no certificate: a failed row
+    rc = cli.main(["sweep-n", "--n-list", "4,100", "--out", str(out)])
+    assert rc == 2
+    lines = (out / "sweep_n.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "100"]
+    assert lines[1].endswith(",failed") and lines[2].endswith(",ok")
 
 
 def test_sweep_does_not_compute_the_posterior_functional(tmp_path, monkeypatch):
@@ -503,6 +529,29 @@ def test_malformed_command_line_is_a_config_error(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_is_reentrant_with_one_parser(tmp_path, capsys):
+    # one parser serves every in-process call: a rerun writes the same bytes,
+    # and a malformed command line between two runs changes neither
+    outs = [tmp_path / f"sweep{i}" for i in range(3)]
+    for i, out in enumerate(outs):
+        if i:
+            assert cli.main(["sweep-n", "--n-list", "100", "--bogus"]) == 1
+            assert cli.main(["sweep-n", "--k-max", "5", "--out", str(tmp_path / "bad")]) == 1
+        assert cli.main(["sweep-n", "--n-list", "100", "--seed", "3", "--out", str(out)]) == 0
+    first, *rest = ((out / "sweep_n.csv").read_bytes() for out in outs)
+    assert all(blob == first for blob in rest)
+    assert not (tmp_path / "bad").exists()
+    # the defaults of an earlier call do not leak into the next one
+    default_out = tmp_path / "default"
+    assert cli.main(["sweep-n", "--n-list", "100", "--out", str(default_out)]) == 0
+    assert (default_out / "sweep_n.csv").read_bytes() != first
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "sweep-n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep-n", "--help"]])

@@ -161,3 +161,34 @@ def test_a_differing_output_records_its_first_differing_line(tmp_path):
     assert doc["outputs"]["bound-curve/bound_curve.csv"] == {
         "parent": "aa", "change": "ab", "identical": False, "first_difference": difference}
     assert "first_difference" not in doc["outputs"]["simulate/ensemble.csv"]
+
+
+_CERTIFY_STDOUT = """\
+certify: seed 11, 3 untraced and 0 traced passes, 6 operations attempted, 0 failed
+  pass 0.004123 s (certificate_n100 0.001012 s, certificate_n6400 0.0009871 s, sweep_n_rest 0.002124 s)
+  pass 0.003901 s (certificate_n100 0.001043 s, certificate_n6400 0.0009502 s, sweep_n_rest 0.001908 s)
+  pass 0.004 s (certificate_n100 0.0009988 s, certificate_n6400 0.001 s, sweep_n_rest 0.002002 s)
+  setup_s = 0.301 s
+  wall_s = 0.0038578 s
+  peak_rss_mib = 72.8 MiB
+{"correct": true, "attempted": 6, "failed": 0, "metrics": {}}
+"""
+
+
+def test_part_minima_are_parsed_from_the_pass_lines():
+    assert evidence.part_minima(_CERTIFY_STDOUT) == {
+        "certificate_n100": 0.0009988, "certificate_n6400": 0.0009502,
+        "sweep_n_rest": 0.001908}
+    # a pass that timed no part prints no parenthesis, and adds nothing
+    assert evidence.part_minima("  pass 0.5 s\n  wall_s = 0.5 s\n") == {}
+
+    def run(**parts):
+        return {"parts": parts}
+
+    runs = {"parent": [run(a=3.0, b=1.0), run(a=1.0, b=2.0), run(a=2.0, b=3.0)],
+            "change": [run(a=1.0, c=4.0), run(a=0.5), run(a=2.0)]}
+    assert evidence.part_medians(runs) == {
+        "a": {"parent": 2.0, "change": 1.0},
+        "b": {"parent": 2.0, "change": None},
+        "c": {"parent": None, "change": 4.0},
+    }

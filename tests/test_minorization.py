@@ -22,10 +22,8 @@ from driftbound.hier_model import (
 from driftbound.minorization import (
     MinorizationError,
     SmallSetBox,
-    _endpoint_infimum,
     _mu_factor,
-    _mu_inf_density,
-    _normal_pdf,
+    _mu_integrand,
     _pair_overlap,
     _s_crossings,
     _s_endpoint_density,
@@ -88,6 +86,30 @@ def test_volume_nonincreasing_in_box_width(tight100):
     assert all(0.0 < v <= 1.0 for v in values)
 
 
+def _normal_pdf(x, mean, var):
+    return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+
+
+def _endpoint_infimum(density, box, x):
+    """The smaller of density(a_low, x) and density(a_high, x), pointwise in
+    x: the infimum over the box's A side for the three families here."""
+    return np.minimum(density(box.a_low, x), density(box.a_high, x))
+
+
+def _mu_family(box, n):
+    """Density family N(theta_bar0, A0/n; mu) at the corner farthest from
+    mu, vectorized in (A0, mu)."""
+    tb_c, hw = box.theta_bar_center, box.halfwidth
+
+    def density(a0, mu):
+        a0 = np.asarray(a0, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        tb_far = np.where(mu >= tb_c, tb_c - hw, tb_c + hw)
+        return _normal_pdf(mu, tb_far, a0 / n)
+
+    return density
+
+
 def _s_family(ds, cfg):
     """Density family f_S(A; s) of the reduced S law, vectorized in (A, s)."""
     return lambda a, s: _s_endpoint_density(a, ds, cfg)(s)
@@ -141,7 +163,7 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
         sd = math.sqrt(box.a_high / n)
         hw = box.halfwidth + 12.0 * sd
         mu = np.linspace(box.theta_bar_center - hw, box.theta_bar_center + hw, 301)
-        compared["mu"] += _compare_with_dense_grid(_mu_inf_density(box, n), box, mu)
+        compared["mu"] += _compare_with_dense_grid(_mu_family(box, n), box, mu)
 
         # theta_bar stage, at several mu, over each F(mu) integration range
         sd_tb = math.sqrt(float(np.max(s2)) / n)
@@ -174,6 +196,28 @@ def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(cfg, center, n):
         # the chi-square argument is <= 0 at some abscissae for each endpoint
         assert np.any(s <= m[0]) and np.any(s <= m[1])
         assert np.any(expected == 0.0) and np.any(expected > 0.0)
+
+
+@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 100, 6400])
+def test_certificate_mu_integrand_is_the_endpoint_infimum_bitwise(cfg, center, n):
+    # the mu quadrature integrates the corner infimum of the family the
+    # dense-grid test checks, times F(mu), bit for bit, on both sides of the
+    # box center where the far corner switches
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    positive = 0
+    for frac in (0.002, 0.02, 0.3, 0.9):
+        box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
+        integrand, (lo, hi, breaks) = _mu_integrand(box, ds, cfg)
+        assert lo < min(breaks) and max(breaks) < hi
+        mu = np.linspace(lo, hi, 401)
+        expected = (_endpoint_infimum(_mu_family(box, n), box, mu)
+                    * _theta_bar_overlap(box, ds, cfg)(mu))
+        assert integrand(mu).tobytes() == expected.tobytes()
+        assert np.any(mu < box.theta_bar_center) and np.any(mu > box.theta_bar_center)
+        positive += int(np.count_nonzero(expected > 0.0))
+    assert positive > 100
 
 
 def _s_range(box, ds, cfg):
@@ -355,7 +399,7 @@ def _mp_overlap(mu, box, ds, cfg):
 def test_theta_bar_overlap_matches_mpmath(cfg, center, n, frac, upper_tail):
     ds, box = _box(cfg, center, n, frac)
     mu = _mu_grid(box, ds, 41)
-    got = _theta_bar_overlap(mu, box, ds, cfg)
+    got = _theta_bar_overlap(box, ds, cfg)(mu)
     with mp.workdps(50):
         ref = [_mp_overlap(m, box, ds, cfg) for m in mu]
     f_ref = np.array([float(f) for f, _ in ref])
@@ -376,7 +420,7 @@ def test_theta_bar_overlap_matches_mpmath(cfg, center, n, frac, upper_tail):
 def test_theta_bar_overlap_matches_scipy_quad(cfg, center, n):
     ds, box = _box(cfg, center, n, 0.3)
     mu = _mu_grid(box, ds, 9)
-    got = _theta_bar_overlap(mu, box, ds, cfg)
+    got = _theta_bar_overlap(box, ds, cfg)(mu)
     for m, f in zip(mu, got):
         with mp.workdps(50):
             x_a, x_b = (float(x) for x in _mp_crossings(m, box, ds, cfg))

@@ -19,7 +19,9 @@ per pair, the parent first in even pairs and the change first in odd ones.
 
 ``BENCH_<pr>.json`` at the root of the repository holds the hashes, with
 each side's first differing line of every output whose hash differs, every
-run's end-to-end metrics, each metric's median and quartiles on both sides,
+run's end-to-end metrics and the fastest time of each timed part of its
+passes (parsed from the ``pass`` lines the benchmark prints), each side's
+median of those part times, each metric's median and quartiles on both sides,
 the pairs the change won, the seeds and the machine, and two verdicts per
 workload and metric:
 
@@ -47,6 +49,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -135,8 +138,39 @@ def output_hashes(tree: Path, out_dir: Path) -> dict:
     return hashes
 
 
+# "  pass 0.004 s (certificate_n100 0.001 s, sweep_n_rest 0.002 s)"
+_PASS_LINE = re.compile(r"^\s*pass \S+ s \((.+)\)$")
+
+
+def part_minima(stdout: str) -> dict:
+    """Each timed part's fastest time over one run's passes, in seconds, from
+    the ``pass W s (part t s, ...)`` lines of ``perfbench/run.py``."""
+    best = {}
+    for line in stdout.splitlines():
+        match = _PASS_LINE.match(line)
+        if match:
+            for item in match.group(1).split(", "):
+                name, value, _unit = item.rsplit(" ", 2)
+                best[name] = min(float(value), best.get(name, float("inf")))
+    return best
+
+
+def part_medians(runs: dict) -> dict:
+    """Per timed part, each side's median over its runs of the part's
+    fastest time, from ``runs[side][i]["parts"]``; None on a side whose runs
+    never timed that part."""
+    names = sorted({name for side in SIDES for run in runs[side] for name in run["parts"]})
+    out = {}
+    for name in names:
+        times = {side: [run["parts"][name] for run in runs[side] if name in run["parts"]]
+                 for side in SIDES}
+        out[name] = {side: statistics.median(t) if t else None for side, t in times.items()}
+    return out
+
+
 def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One ``perfbench/run.py`` run: its verdict and end-to-end metric values."""
+    """One ``perfbench/run.py`` run: its verdict, end-to-end metric values and
+    the fastest time of each timed part."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed)],
@@ -152,6 +186,7 @@ def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         "attempted": doc["attempted"],
         "failed": doc["failed"],
         "metrics": {name: m["value"] for name, m in doc["metrics"].items()},
+        "parts": part_minima(proc.stdout),
     }
 
 
@@ -210,8 +245,9 @@ def bench_document(pr: int, sides: dict, hashes: dict, workloads: dict, machine_
                    differences: dict | None = None) -> dict:
     """The BENCH_<pr>.json layout.  ``sides[side]`` is what
     :func:`export_tree` returns; ``workloads[w]`` carries ``seconds``,
-    ``seeds``, ``first`` (the side run first in each pair), ``runs`` and
-    ``metrics`` (see :func:`summarize`); ``differences[key]`` is the
+    ``seeds``, ``first`` (the side run first in each pair), ``runs``,
+    ``metrics`` (see :func:`summarize`) and ``parts`` (see
+    :func:`part_medians`); ``differences[key]`` is the
     :func:`first_difference` of an output whose hash differs."""
     outputs = {
         key: {"parent": hashes["parent"][key], "change": hashes["change"][key],
@@ -268,7 +304,13 @@ def main(argv=None) -> int:
                     print(f"{name} pair {i} {side}: " + ", ".join(
                         f"{k} {v:.6g}" for k, v in run["metrics"].items()), flush=True)
             workloads[name] = {"seconds": seconds, "seeds": SEEDS, "first": first,
-                               "runs": runs, "metrics": summarize(runs, directions)}
+                               "runs": runs, "metrics": summarize(runs, directions),
+                               "parts": part_medians(runs)}
+            for part, medians in workloads[name]["parts"].items():
+                parent, change = (f"{medians[side]:.4g}" if medians[side] is not None
+                                  else "none" for side in SIDES)
+                print(f"{name} part {part}: median of fastest {parent} -> {change} s",
+                      flush=True)
             for metric, m in workloads[name]["metrics"].items():
                 print(f"{name} {metric}: median {m['parent']['median']:.6g} -> "
                       f"{m['change']['median']:.6g} (parent IQR {m['parent']['iqr']:.3g}), "
