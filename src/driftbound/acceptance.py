@@ -304,7 +304,8 @@ def criterion_1_exact_moment_oracle(scale: float = 1.0) -> tuple[bool, dict]:
     on any number."""
     n_states = len(_STREAMS["1 states"])
     n_draws = _count(1_000_000, scale, floor=20_000)
-    workers = min(n_states, len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(n_states, len(affinity(0)) if affinity else os.cpu_count() or 1)
     worst = max(_criterion_1_abs_z(n_draws, workers))
     return worst <= _Z_MAX, {"max_abs_z": round(worst, 3), "states": n_states, "draws": n_draws}
 

@@ -174,8 +174,6 @@ def evaluate_bound(
     """
     if not (isinstance(k, (int,)) and k >= 1):
         raise BoundError(f"k must be a positive integer, got {k!r}")
-    if not (0.0 < dc.r < 1.0):
-        raise BoundError(f"r must lie in (0,1) for the denominator to be positive, got {dc.r!r}")
     eps_q = m.epsilon * m.q_mass_lower
     if eps_q <= 0.0:
         raise BoundError("no minorization mass (eps_q <= 0)")

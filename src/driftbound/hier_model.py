@@ -636,8 +636,9 @@ def assemble_gibbs_bound(
 
     The minorization volume comes from the product-of-infima construction
     over the small-set box, and the mass of the constructed uniform
-    component on the retained band is evaluated directly by quadrature; the
-    exit terms come from :func:`exit_budget` and :func:`bound_terms`.
+    component on the retained band is bounded below panel by panel in
+    closed form (:func:`minorization.uniform_component`); the exit terms
+    come from :func:`exit_budget` and :func:`bound_terms`.
     ``large_set`` must be centered at the data center, as the small set is;
     d defaults to :func:`default_small_set_level`.  ``start`` must lie in
     the retained band, where the drift inequality and the exit budget hold;

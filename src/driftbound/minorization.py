@@ -71,27 +71,38 @@ with F_i and Q_i = 1 - F_i the regularized lower and upper incomplete gamma
 functions at (r/2)(s - m_i)/s2_i, the CDF and the tail of the law at A_i.
 x minimizes F_hi(x) + Q_lo(x), whose slope is f_hi - f_lo, so an error in
 x raises the value, and only at second order.  s* is found by Newton steps
-on D in log(s - m_hi), and it is a breakpoint of the band-mass quadrature.
+on D in log(s - m_hi).
 
-Error budget: F and the S factor are exact up to rounding; the mu factor is
-a Gauss-Kronrod quadrature with a 1e-8 relative target, and every kink of
-its integrand is a breakpoint, so each panel is smooth.  Against 30-digit
-quadratures split at the same kinks the mu factor is within 3e-14 at
-n = 100 on the default tight config.  Against 40-digit quadratures split at
-s* and around both laws' means, the S factor is within 4e-14 from n = 5 to
-6400 and 7e-14 at n = 1e6, on the tight and classic configs, wherever it
-exceeds 1e-30.  Truncating the mu and S ranges only lowers the bound.
+The band mass q.  Given S = s the component's A is inverse-gamma with shape
+a1 = a + r/2 and scale beta(s) = b + r s/2; it leaves the band [T, 2c - T]
+with probability below(s) + above(s), where below(s) = Q(a1, beta(s)/T)
+falls in s and above(s) = P(a1, beta(s)/(2c - T)) rises.  So on each of the
+_S_PANELS equal panels [s_j, s_j+1] that cut [s_lo, x] and [x, s_hi] the
+tail is at most below(s_j) + above(s_j+1), and q = 1 - sum_j m_j [below(s_j)
++ above(s_j+1)] / sum_j m_j is a lower bound on the band mass up to
+rounding, with m_j the panel's CDF difference of f_hi below s* and of f_lo
+above it (between upper tails past the median).  The edges are offsets from
+s_lo, so an s* within a float spacing of m_hi keeps its mass.
 
-Cost: a certificate makes two quadratures, of the mu factor and of the band
-mass.  The band mass integrates inf_A f_S times a tail weight over the S
-range, split at both laws' means and at s*, and each endpoint's density
-constants are formed once per certificate.  So are the mu integrand's box
-constants, the variances and normalizers of the two corner normals and F's
-u_hi - u_lo, v_lo, v_hi, log(v_hi/v_lo) and square roots; a call forms the
+Error budget: F, the S factor and q (as a bound) are exact up to rounding;
+the mu factor is a Gauss-Kronrod quadrature with a 1e-8 relative target,
+and every kink of its integrand is a breakpoint, so each panel is smooth.
+Against 30-digit quadratures split at the same kinks the mu factor is
+within 3e-14 at n = 100 on the default tight config.  Against 40-digit
+quadratures split at s* and around both laws' means, the S factor is within
+4e-14 from n = 5 to 6400 and 7e-14 at n = 1e6, on the tight and classic
+configs, wherever it exceeds 1e-30, and q lies below the band mass by
+4.4e-4 to 1.8e-3 of 1 - q (tight) and 1.6e-2 to 9.1e-2 (classic), from
+n = 5 to 200 at box halfwidths 0.002 to 0.3 of the center.  Truncating the
+mu and S ranges only lowers the bound.
+
+Cost: a certificate makes one quadrature, of the mu factor, with its box
+constants (the corner normals' variances and normalizers, F's u_hi - u_lo,
+v_lo, v_hi, log(v_hi/v_lo) and square roots) formed once; a call forms the
 far corner and its squared distance once, for both endpoints.  On the
-default config the two make 12 integrand calls on 28 panels, at n = 100
-and at n = 6400, at its own level or at ``sweep-n``'s, which the n = 100
-row sets.
+default config it makes 7 integrand calls on 16 panels, at n = 100 and at
+n = 6400, at its own level or at ``sweep-n``'s, which the n = 100 row sets.
+The S factor and q take four incomplete gamma functions a panel.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
@@ -107,7 +118,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, ndtr
+from scipy.special import gammainc, gammaincc, ndtr
 
 from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
 from .numerics import RngStream, integrate
@@ -118,6 +129,11 @@ __all__ = [
     "uniform_component",
     "overlap_oracle_mc",
 ]
+
+
+# equal-width panels of the S range on each side of the crossing s* in the
+# band-mass bracket; 128 a side keeps every default K_bar and N_c
+_S_PANELS = 128
 
 
 class MinorizationError(Exception):
@@ -167,7 +183,7 @@ class SmallSetBox:
 
 
 # ---------------------------------------------------------------------------
-# densities
+# the reduced S law
 # ---------------------------------------------------------------------------
 
 
@@ -177,27 +193,6 @@ def _s_shift_scale(a, ds: Dataset, cfg: ModelConfig):
     v = cfg.V
     a = np.asarray(a, dtype=float)
     return (a / (v + a)) ** 2 * ds.delta / (ds.n - 1), a * v / (v + a)
-
-
-def _s_endpoint_density(a, ds: Dataset, cfg: ModelConfig):
-    """f_S(a; s) of the reduced S law as a function of s, with the constants
-    of a (a number, or an array broadcast against s) formed once."""
-    df = ds.n - 1
-    half = 0.5 * df
-    m, s2 = _s_shift_scale(a, ds, cfg)
-    scale = df / s2
-    log_scale = np.log(scale)
-    log_2_half = half * math.log(2.0)
-    log_gamma_half = gammaln(half)
-
-    def density(s):
-        w = (np.asarray(s, dtype=float) - m) * scale
-        w_safe = np.where(w > 0.0, w, 1.0)
-        # log of the chi2_df density at w, plus the Jacobian log(scale)
-        log_pdf = (half - 1.0) * np.log(w_safe) - 0.5 * w_safe - log_2_half - log_gamma_half
-        return np.where(w > 0.0, np.exp(log_pdf + log_scale), 0.0)
-
-    return density
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +241,10 @@ def _s_crossings(m_ends, s2_ends, r: int, s_hi: float) -> list[float]:
     return [t]
 
 
-def _s_infimum(box, ds, cfg):
-    """inf_A f_S(A; s) as an integrand over s, its integral over the range
-    in closed form (the S factor), and the range (s_lo, s_hi, breakpoints):
-    the endpoint laws' means and the crossing of the two endpoint densities,
-    where the infimum has a kink.  Each endpoint's density constants are
-    formed once.
-    """
+def _s_panels(box, ds, cfg):
+    """The S factor, and the S range cut into _S_PANELS equal panels on each
+    side of the crossing s*: their edges s (row 0 below s*, row 1 above) and
+    the mass of inf_A f_S on each (see the module docstring)."""
     n = ds.n
     if n < 5:
         raise MinorizationError(
@@ -262,19 +254,20 @@ def _s_infimum(box, ds, cfg):
     width = float(np.max(s2_ends)) * math.sqrt(2.0 / (n - 1))
     s_lo = float(np.max(m_ends))
     s_hi = float(np.max(m_ends + s2_ends)) + 14.0 * width
+    t_hi = s_hi - s_lo
     crossings = _s_crossings(m_ends, s2_ends, n - 1, s_hi)
-    kinks = (*(m_ends + s2_ends), *(s_lo + t for t in crossings))
-    breaks = sorted(set(float(x) for x in kinks if s_lo < x < s_hi))
+    t_x = crossings[0] if crossings else t_hi  # x = min(s*, s_hi) as an offset
+    t = np.array([np.linspace(0.0, t_x, _S_PANELS + 1), np.linspace(t_x, t_hi, _S_PANELS + 1)])
 
-    # the S factor F_hi(x) + Q_lo(x) - Q_lo(s_hi) (module docstring), x = s_lo + t
-    half, t_hi = 0.5 * (n - 1), s_hi - s_lo
-    t = crossings[0] if crossings else t_hi
-    q_lo = gammaincc(half, half * (np.array([t, t_hi]) + (m_ends[1] - m_ends[0])) / s2_ends[0])
-    s_factor = float(gammainc(half, half * t / s2_ends[1]) + q_lo[0] - q_lo[1])
-
-    dens_lo = _s_endpoint_density(box.a_low, ds, cfg)
-    dens_hi = _s_endpoint_density(box.a_high, ds, cfg)
-    return lambda s: np.minimum(dens_lo(s), dens_hi(s)), s_factor, (s_lo, s_hi, breaks)
+    # the CDF and tail of f_hi, the smaller density below s*, and of f_lo
+    # above (module docstring): P and Q(r/2, (r/2)(s - m_i)/s2_i)
+    half = 0.5 * (n - 1)
+    w = half * (t + np.array([[0.0], [m_ends[1] - m_ends[0]]])) / s2_ends[::-1, None]
+    cdf, tail = gammainc(half, w), gammaincc(half, w)
+    s_factor = float(cdf[0, -1] + tail[1, 0] - tail[1, -1])
+    # past the median a CDF difference is taken between upper tails
+    mass = np.where(cdf[:, :-1] > 0.5, tail[:, :-1] - tail[:, 1:], cdf[:, 1:] - cdf[:, :-1])
+    return s_factor, s_lo + t, mass
 
 
 def _theta_bar_overlap(box, ds, cfg):
@@ -370,26 +363,23 @@ def uniform_component(
 
         integral inf_S * tail(S) / integral inf_S,
 
-    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form; the
-    numerator is a quadrature and the denominator the S factor.
+    where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.  The
+    returned band mass is a proven lower bound on it: the ratio is bounded
+    above panel by panel, with the panel masses in closed form (see the
+    module docstring).
     """
-    s_inf, s_factor, (s_lo, s_hi, breaks) = _s_infimum(box, ds, cfg)
+    s_factor, s, mass = _s_panels(box, ds, cfg)
     eps = s_factor * _mu_factor(box, ds, cfg)
     if not (eps > 0.0):  # so s_factor > 0 too
         raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
-    n = ds.n
-    a1 = cfg.prior_shape_a + 0.5 * (n - 1)
-    t_low, t_high = large_set.a_low, large_set.a_high
-
-    def tail(s):
-        beta = cfg.prior_scale_b + 0.5 * (n - 1) * s
-        below = gammaincc(a1, beta / t_low)   # A < T  <=>  gamma draw > beta/T
-        above = gammainc(a1, beta / t_high)   # A > 2c-T  <=>  gamma draw < beta/(2c-T)
-        return below + above
-
-    num = integrate(lambda s: s_inf(s) * tail(s), s_lo, s_hi, breakpoints=breaks)
-    frac_out = min(max(num / s_factor, 0.0), 1.0)
-    return min(eps, 1.0), 1.0 - frac_out
+    a1 = cfg.prior_shape_a + 0.5 * (ds.n - 1)
+    beta = cfg.prior_scale_b + 0.5 * (ds.n - 1) * s
+    # A < T <=> a gamma draw > beta/T, which falls in S, and A > 2c - T <=> a
+    # draw < beta/(2c - T), which rises; so on a panel the tail is at most
+    # the first at its left edge plus the second at its right edge
+    tail = (gammaincc(a1, beta[:, :-1] / large_set.a_low)
+            + gammainc(a1, beta[:, 1:] / large_set.a_high))
+    return min(eps, 1.0), 1.0 - float(np.sum(mass * tail) / np.sum(mass))
 
 
 # ---------------------------------------------------------------------------

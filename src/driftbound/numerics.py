@@ -195,7 +195,8 @@ def _gk15(f: Callable, panels: Sequence[tuple[float, float]]) -> list[tuple[floa
 # The tolerance contract of every integral: convergence is declared when the
 # accumulated error estimate drops below max(_ABS_FLOOR, _REL_TOL*|result|).
 # The floor sits near machine zero, so the rule is relative even for the
-# minorization factors, which can lie many orders of magnitude below 1.
+# mu factor of the minorization volume, which can lie many orders of
+# magnitude below 1.
 _REL_TOL = 1e-8
 _ABS_FLOOR = 1e-300
 _MAX_PANELS = 1_000_000

@@ -13,6 +13,7 @@ each one reports.
 
 import inspect
 import math
+import os
 import sys
 from itertools import combinations
 
@@ -57,6 +58,23 @@ def test_criterion_1_states_do_not_depend_on_the_worker_count():
         sys.setswitchinterval(interval)
     assert len(serial) == len(acceptance._STREAMS["1 states"])
     assert pooled == serial
+
+
+def test_criterion_1_runs_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the states run on
+    # one thread per CPU that os.cpu_count reports
+    monkeypatch.delattr(os, "sched_getaffinity")
+    workers = []
+    abs_z = acceptance._criterion_1_abs_z
+
+    def recording(n_draws, n_workers):
+        workers.append(n_workers)
+        return abs_z(n_draws, n_workers)
+
+    monkeypatch.setattr(acceptance, "_criterion_1_abs_z", recording)
+    result = acceptance.criterion_1_exact_moment_oracle(scale=SMOKE)
+    assert workers == [min(len(acceptance._STREAMS["1 states"]), os.cpu_count() or 1)]
+    assert result.measured["max_abs_z"] == 3.563
 
 
 def test_criterion_8_fails_when_the_bound_is_off_by_1e9(monkeypatch):

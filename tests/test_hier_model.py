@@ -761,8 +761,9 @@ def test_assemble_rejects_off_center_large_set():
         assemble_gibbs_bound(ds, TIGHT, large_set=LargeSetSpec(T=0.05, center=0.2), k_max=5)
 
 
-def test_assemble_makes_two_quadratures(monkeypatch):
-    # the mu factor and the band mass; the S factor is a closed form
+def test_assemble_makes_one_quadrature(monkeypatch):
+    # the mu factor; the S factor is a closed form and the band mass a sum
+    # over panels
     from driftbound import minorization
 
     calls = []
@@ -774,7 +775,7 @@ def test_assemble_makes_two_quadratures(monkeypatch):
 
     monkeypatch.setattr(minorization, "integrate", counted)
     assemble_gibbs_bound(tight_data(), TIGHT, k_max=5)
-    assert len(calls) == 2, calls
+    assert len(calls) == 1, calls
 
 
 def test_assemble_rejects_bad_data():
@@ -820,11 +821,10 @@ def test_canonical_start_is_the_default_bit_for_bit(tight_report):
 def test_bound_is_monotone_in_start_energy(tight_report):
     # at k = 10 the totals are those of the former general-start form
     # (C1 + f0)*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) + f0*k/(n*gap^2),
-    # frozen from an evaluation with the S quadratures broken at the
-    # crossing of the endpoint densities
+    # frozen from an evaluation with the band mass from its panel bracket
     ds, _ = tight_report
     c = data_center(ds, TIGHT)
-    frozen = (9.626833831960168, 9.729332558607808, 10.036828738550726)
+    frozen = (9.62683383465729, 9.729332561308265, 10.036828741261193)
     reports = []
     for offset, expect in zip((0.0, 0.005, 0.01), frozen):
         report = assemble_gibbs_bound(ds, TIGHT, k_max=40,

@@ -1,16 +1,21 @@
 import math
-from collections import Counter
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
+from scipy.special import gammainc, gammaincc, gammaln
 from scipy.stats import chi2
 
-from driftbound import cli, minorization
+from driftbound.bound_core import BoundError
 from driftbound.hier_model import (
+    BoundConstants,
     LargeSetSpec,
     ModelConfig,
+    ModelError,
     assemble_gibbs_bound,
     data_center,
     default_large_set,
@@ -26,14 +31,13 @@ from driftbound.minorization import (
     _mu_integrand,
     _pair_overlap,
     _s_crossings,
-    _s_endpoint_density,
-    _s_infimum,
+    _s_panels,
     _s_shift_scale,
     _theta_bar_overlap,
     overlap_oracle_mc,
     uniform_component,
 )
-from driftbound.numerics import RngStream
+from driftbound.numerics import NumericsError, RngStream
 
 TIGHT = ModelConfig(V=8e-4, prior_shape_a=3.0, prior_scale_b=0.2, delta_margin=0.08)
 CLASSIC = ModelConfig(V=1.0, prior_shape_a=3.0, prior_scale_b=2.0, delta_margin=1.0)
@@ -111,8 +115,21 @@ def _mu_family(box, n):
 
 
 def _s_family(ds, cfg):
-    """Density family f_S(A; s) of the reduced S law, vectorized in (A, s)."""
-    return lambda a, s: _s_endpoint_density(a, ds, cfg)(s)
+    """Density family f_S(A; s) of the reduced S law, vectorized in (A, s):
+    S = m + (s2/r) chi2_r, with r = n-1 and (m, s2) from _s_shift_scale."""
+    half = 0.5 * (ds.n - 1)
+
+    def density(a, s):
+        m, s2 = _s_shift_scale(a, ds, cfg)
+        scale = (ds.n - 1) / s2
+        w = (np.asarray(s, dtype=float) - m) * scale
+        w_safe = np.where(w > 0.0, w, 1.0)
+        # log of the chi2_r density at w, plus the Jacobian log(scale)
+        log_pdf = ((half - 1.0) * np.log(w_safe) - 0.5 * w_safe - half * math.log(2.0)
+                   - gammaln(half))
+        return np.where(w > 0.0, np.exp(log_pdf + np.log(scale)), 0.0)
+
+    return density
 
 
 def _theta_bar_density(mu: float, ds, cfg):
@@ -178,29 +195,6 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
 @pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
                          ids=["tight", "classic"])
 @pytest.mark.parametrize("n", [5, 100, 6400])
-def test_certificate_s_infimum_is_the_endpoint_infimum_bitwise(cfg, center, n):
-    # the band mass integrates the endpoint infimum of the one written S
-    # density, bit for bit, on both sides of the chi-square support
-    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
-    for frac in (0.002, 0.02):
-        box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
-        s_inf = _s_infimum(box, ds, cfg)[0]
-        a_ends = np.array([box.a_low, box.a_high])
-        s2 = a_ends * cfg.V / (cfg.V + a_ends)
-        m = (a_ends / (cfg.V + a_ends)) ** 2 * ds.delta / (n - 1)
-        # the S-factor range, extended below both shifts by its own length
-        s_hi = float(np.max(m + s2) + 14.0 * np.max(s2) * math.sqrt(2.0 / (n - 1)))
-        s = np.linspace(2.0 * float(np.max(m)) - s_hi, s_hi, 401)
-        expected = _endpoint_infimum(_s_family(ds, cfg), box, s)
-        assert s_inf(s).tobytes() == expected.tobytes()
-        # the chi-square argument is <= 0 at some abscissae for each endpoint
-        assert np.any(s <= m[0]) and np.any(s <= m[1])
-        assert np.any(expected == 0.0) and np.any(expected > 0.0)
-
-
-@pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
-                         ids=["tight", "classic"])
-@pytest.mark.parametrize("n", [5, 100, 6400])
 def test_certificate_mu_integrand_is_the_endpoint_infimum_bitwise(cfg, center, n):
     # the mu quadrature integrates the corner infimum of the family the
     # dense-grid test checks, times F(mu), bit for bit, on both sides of the
@@ -236,11 +230,10 @@ def test_s_crossings_are_the_sign_changes_of_the_log_density_ratio(cfg, center, 
         ds, box = _box(cfg, center, n, frac)
         m, s2, s_lo, s_hi = _s_range(box, ds, cfg)
         crossings = [s_lo + t for t in _s_crossings(m, s2, n - 1, s_hi)]
-        # the band-mass quadrature breaks at every crossing it can tell
-        # apart from the start of the range
-        _, _, (lo, hi, breaks) = _s_infimum(box, ds, cfg)
-        assert (lo, hi) == (s_lo, s_hi)
-        assert {c for c in crossings if c > s_lo} <= set(breaks)
+        # the band-mass panels below and above s* meet at the crossing
+        _, edges, _ = _s_panels(box, ds, cfg)
+        assert edges[0, 0] == s_lo and edges[1, -1] == pytest.approx(s_hi, rel=1e-15)
+        assert all(edges[0, -1] == c == edges[1, 0] for c in crossings)
 
         # at s_lo the upper law's density is 0, so the ratio is +inf there
         s = np.linspace(s_lo, s_hi, 200_001)
@@ -259,11 +252,13 @@ def test_s_crossings_are_the_sign_changes_of_the_log_density_ratio(cfg, center, 
     assert found > 0
 
 
-def _mp_s_factor(box, ds, cfg, s_lo, s_hi):
-    """integral over [s_lo, s_hi] of min(f_lo, f_hi) of the reduced S law by
-    40-digit tanh-sinh quadrature, from the same float shifts and scales;
+def _mp_s_integral(box, ds, cfg, s_lo, s_hi, weight=lambda s: 1, **quad_options):
+    """integral over [s_lo, s_hi] of min(f_lo, f_hi) of the reduced S law
+    times weight(s) by 40-digit quadrature (mp.quad, tanh-sinh unless
+    quad_options say otherwise), from the same float shifts and scales;
     split at the crossing, found by bisection in log(s - s_lo), at points
-    closing in on it, and every two standard deviations of either law."""
+    closing in on it, and every two standard deviations of either law.
+    Call it inside mp.workdps(40) to keep all the digits."""
     m, s2 = _s_shift_scale(np.array([box.a_low, box.a_high]), ds, cfg)
     with mp.workdps(40):
         r = mp.mpf(ds.n - 1)
@@ -291,7 +286,12 @@ def _mp_s_factor(box, ds, cfg, s_lo, s_hi):
         for mi, k in ends:
             mean, sd = mi + r / k, mp.sqrt(2 * r) / k
             edges.update(e for e in (mean + j * sd for j in range(-40, 41, 2)) if lo < e < hi)
-        return float(mp.quad(lambda s: mp.exp(min(log_f(s, *e) for e in ends)), sorted(edges)))
+        return mp.quad(lambda s: mp.exp(min(log_f(s, *e) for e in ends)) * weight(s),
+                       sorted(edges), **quad_options)
+
+
+def _mp_s_factor(box, ds, cfg, s_lo, s_hi):
+    return float(_mp_s_integral(box, ds, cfg, s_lo, s_hi))
 
 
 @pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
@@ -306,8 +306,9 @@ def test_s_factor_matches_mpmath(cfg, center, n):
     if d >= n * center**2:
         d = n * (0.9 * center) ** 2
     box = SmallSetBox.from_level(d, ds, cfg)
-    _, s_factor, (lo, hi, _) = _s_infimum(box, ds, cfg)
-    assert s_factor == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi), rel=1e-13, abs=0.0)
+    _, _, lo, hi = _s_range(box, ds, cfg)
+    assert _s_panels(box, ds, cfg)[0] == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi),
+                                                       rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
@@ -317,34 +318,9 @@ def test_s_factor_matches_mpmath_at_large_n(cfg, center):
     # and 6.4e-5 (classic) below the reference, far outside its own error
     # estimate; the closed form has no stopping rule to get wrong
     ds, box = _box(cfg, center, 1_000_000, 0.002)
-    _, s_factor, (lo, hi, _) = _s_infimum(box, ds, cfg)
-    assert s_factor == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi), rel=1e-13, abs=0.0)
-
-
-def test_one_certificate_evaluates_the_s_density_once_per_abscissa_array(monkeypatch):
-    # the S factor is a closed form, so the band mass is the certificate's
-    # one quadrature of the S density, and it never repeats an abscissa array
-    cfg = cli.ExperimentConfig.from_dict(cli.default_config_dict())
-    ds = cfg.resolve_dataset(n=100)
-    evaluations = Counter()
-    real = minorization._s_endpoint_density
-
-    def counting(a, ds, cfg):
-        density = real(a, ds, cfg)
-
-        def counted(s):
-            evaluations[float(a), s.tobytes()] += 1
-            return density(s)
-
-        return counted
-
-    monkeypatch.setattr(minorization, "_s_endpoint_density", counting)
-    assemble_gibbs_bound(ds, cfg.model, k_max=5)
-    endpoints = {a for a, _ in evaluations}
-    arrays = {s for _, s in evaluations}
-    assert len(endpoints) == 2 and len(arrays) > 1
-    assert len(evaluations) == 2 * len(arrays)
-    assert max(evaluations.values()) == 1, sorted(evaluations.values())
+    _, _, lo, hi = _s_range(box, ds, cfg)
+    assert _s_panels(box, ds, cfg)[0] == pytest.approx(_mp_s_factor(box, ds, cfg, lo, hi),
+                                                       rel=1e-13, abs=0.0)
 
 
 def _box(cfg, center, n, frac):
@@ -509,6 +485,48 @@ def test_band_mass_bounds(tight100):
     assert uniform_component(box, ds, TIGHT, wide)[1] == pytest.approx(1.0, abs=1e-4)
 
 
+def _mp_band_tail(ds, cfg, spec):
+    """tail(s) = P(A < T) + P(A > 2c - T) for the component's A, inverse-gamma
+    with shape a + r/2 and scale b + r s/2 given S = s; call it inside
+    mp.workdps."""
+    a1 = mp.mpf(cfg.prior_shape_a) + mp.mpf(ds.n - 1) / 2
+    b, half = mp.mpf(cfg.prior_scale_b), mp.mpf(ds.n - 1) / 2
+    t_low, t_high = mp.mpf(spec.a_low), mp.mpf(spec.a_high)
+
+    def tail(s):
+        beta = b + half * s
+        return (mp.gammainc(a1, beta / t_low, mp.inf, regularized=True)
+                + mp.gammainc(a1, 0, beta / t_high, regularized=True))
+
+    return tail
+
+
+@pytest.mark.parametrize("cfg,center,gap", [(TIGHT, 0.1, 2e-3), (CLASSIC, 2.0, 0.1)],
+                         ids=["tight", "classic"])
+@pytest.mark.parametrize("n", [5, 20, 100, 200])
+def test_band_mass_bracket_holds(cfg, center, gap, n):
+    # the panel bracket lies below a 40-digit band mass, by at most the
+    # gap stated in the module docstring, relative to 1 - q
+    for frac in (0.002, 0.02, 0.1, 0.3):
+        ds, box = _box(cfg, center, n, frac)
+        spec = default_large_set(ds, cfg)
+        q = uniform_component(box, ds, cfg, spec)[1]
+        _, _, s_lo, s_hi = _s_range(box, ds, cfg)
+        with mp.workdps(40):
+            # the integrand is smooth between the splits, where Gauss-Legendre
+            # of degree 3 (21 abscissae a split) meets a stated error estimate
+            # in a fraction of the time tanh-sinh takes to reach 40 digits
+            (num, num_err), (den, den_err) = (
+                _mp_s_integral(box, ds, cfg, s_lo, s_hi, weight, method="gauss-legendre",
+                               maxdegree=3, error=True)
+                for weight in (_mp_band_tail(ds, cfg, spec), lambda s: 1))
+            assert num_err <= 1e-12 * num and den_err <= 1e-12 * den
+            q_ref = 1 - num / den
+            assert q_ref < 1 - mp.mpf(1e-6)  # so the bracket's gap is resolved
+            assert q <= q_ref
+            assert q_ref - q <= gap * (1 - q_ref)
+
+
 @pytest.mark.parametrize("factor", [0.3, 1.0])
 def test_uniform_component_epsilon_does_not_depend_on_the_band(tight100, factor):
     # the band enters only the band mass; the volume is the box's alone
@@ -519,3 +537,65 @@ def test_uniform_component_epsilon_does_not_depend_on_the_band(tight100, factor)
     eps_wide, q_wide = uniform_component(box, ds, TIGHT, wide)
     assert eps == eps_wide
     assert q < q_wide
+
+
+def _quadrature_band_mass(box, ds, cfg, spec):
+    """The band mass that the panel bracket bounds: one minus the integral
+    of min(f_lo, f_hi) * tail over the S range, divided by the integral of
+    min(f_lo, f_hi), each by scipy's adaptive quadrature with a 1e-11
+    relative target, split at both laws' means and at the crossing."""
+    m, s2, s_lo, s_hi = _s_range(box, ds, cfg)
+    crossings = [s_lo + t for t in _s_crossings(m, s2, ds.n - 1, s_hi)]
+    points = sorted({float(x) for x in (*(m + s2), *crossings) if s_lo < x < s_hi})
+    dens = _s_family(ds, cfg)
+    a1, half = cfg.prior_shape_a + 0.5 * (ds.n - 1), 0.5 * (ds.n - 1)
+
+    def tail(s):
+        beta = cfg.prior_scale_b + half * s
+        return gammaincc(a1, beta / spec.a_low) + gammainc(a1, beta / spec.a_high)
+
+    num, den = (sp_integrate.quad(lambda s: float(_endpoint_infimum(dens, box, s) * w(s)),
+                                  s_lo, s_hi, points=points, epsabs=0.0, epsrel=1e-11,
+                                  limit=1000)[0]
+                for w in (tail, lambda s: 1.0))
+    return 1.0 - num / den
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(v=_log_uniform(1e-4, 10.0), a=_log_uniform(0.1, 10.0), b=_log_uniform(1e-3, 10.0),
+       margin=_log_uniform(1e-3, 1.5), center=_log_uniform(0.01, 10.0),
+       n=_log_uniform(5.0, 20_000.0).map(int), t_frac=st.floats(0.01, 0.9),
+       d_mult=st.floats(0.9, 6.0))
+def test_certificate_invariants_over_the_model_space(v, a, b, margin, center, n, t_frac,
+                                                     d_mult):
+    # the result is a certificate or a typed failure, never another
+    # exception, a numpy warning or a NaN.  The margin is a multiple of the
+    # center, the band's T a fraction of it, and d a multiple of the floor
+    # 2b/(1 - lambda_T); the margin and d are also drawn past their limits
+    cfg = ModelConfig(V=v, prior_shape_a=a, prior_scale_b=b, delta_margin=margin * center)
+    ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+    c = data_center(ds, cfg)
+    spec = LargeSetSpec(T=t_frac * c, center=c)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = lambda_T(spec, v)
+            d = d_mult * 2.0 * drift_offset_b(ds, cfg, spec) / (1.0 - lam)
+            report = assemble_gibbs_bound(ds, cfg, large_set=spec, d=d, k_max=5)
+    except (ModelError, MinorizationError, BoundError, NumericsError):
+        return
+    bc = report.constants
+    assert not any(math.isnan(getattr(bc, name)) for name in BoundConstants.__dataclass_fields__)
+    assert not np.any(np.isnan(report.certificate_raw))
+
+    box = SmallSetBox.from_level(d, ds, cfg)
+    assert 0.0 < bc.epsilon <= math.erfc(box.halfwidth / math.sqrt(2.0 * box.a_low / n))
+    assert 0.0 < bc.q_mass_lower <= 1.0
+    q_quad = _quadrature_band_mass(box, ds, cfg, spec)
+    assert bc.q_mass_lower <= q_quad + 1e-9 * (1.0 - q_quad)
+    u = v * v + 2.0 * v * spec.T
+    assert bc.lambda_T == pytest.approx((u / (u + spec.T**2)) ** 2, rel=1e-12, abs=0.0)

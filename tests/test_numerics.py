@@ -212,15 +212,15 @@ def _captured_integrals(monkeypatch, module, run):
 
 @pytest.fixture(scope="module")
 def certificate_integrals(tmp_path_factory):
-    """The two certificate quadratures (mu factor, band mass) of the default
-    config at n = 100 and 6400, as the certify sweep makes them."""
+    """The certificate quadrature (the mu factor) of the default config at
+    n = 100 and 6400, as the certify sweep makes it."""
     out = tmp_path_factory.mktemp("sweep")
     with pytest.MonkeyPatch.context() as mp:
         calls = _captured_integrals(
             mp, minorization,
             lambda: cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(out)]),
         )
-    assert len(calls) == 4
+    assert len(calls) == 2
     return calls
 
 
