@@ -138,7 +138,11 @@ def derived_constants(
     The balancing exponent r = log(alpha) / log(alpha*Lambda/(1-eps*q))
     makes the two geometric factors coincide, and the identity
     gamma = (1-eps*q)^r == alpha^-1 (alpha*Lambda)^r is verified to 1e-12
-    relative.
+    relative.  The rate log(1/gamma) = -r log(1-eps*q) is then lowered by a
+    1e-12 relative budget for its rounding, and gamma is taken from the
+    lowered rate.  A float evaluation overstates the rate by up to about
+    4e-14 on the default and classic configs; the rounding of log(alpha)
+    grows as alpha -> 1, past the budget once alpha - 1 is below about 1e-4.
     """
     alpha, lam_cap = derive_alpha_lambda(p)
     eps_q = m.epsilon * m.q_mass_lower
@@ -152,9 +156,10 @@ def derived_constants(
     other = math.exp(r * math.log(alpha * lam_cap) - math.log(alpha))
     if abs(gamma - other) > 1e-12 * abs(gamma):
         raise BoundError("balanced-rate identity failed beyond 1e-12 relative error")
-    log_inv_gamma = -r * log_keep
+    log_inv_gamma = -r * log_keep * (1.0 - 1e-12)
     return DerivedConstants(
-        alpha=alpha, Lambda=lam_cap, r=r, gamma=gamma, log_inv_gamma=log_inv_gamma
+        alpha=alpha, Lambda=lam_cap, r=r, gamma=math.exp(-log_inv_gamma),
+        log_inv_gamma=log_inv_gamma,
     )
 
 

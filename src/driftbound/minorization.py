@@ -46,10 +46,20 @@ the smaller density outside them and N_hi inside, so with normal CDFs Phi_i
 The roots are q/A and C/q with q = -(B + sign(B) sqrt(disc))/2, accurate as
 dv -> 0, and a CDF difference in the upper tail is taken between upper
 tails; F then matches a 50-digit evaluation to 2e-13 relative down to 1e-300.
-The mu integrand is smooth between its kinks, which are the quadrature's
-breakpoints: theta_bar_center, where the far corner y_far switches, and
-y_far -+ r, where N(y_far, a_low/n) and N(y_far, a_high/n) cross,
-r^2 = log(a_high/a_low) a_low a_high / (n (a_high - a_low)).
+
+The mu factor.  F(mu) is symmetric about y_bar and falls in |mu - y_bar|:
+by the layer-cake formula it is the integral over levels h > 0 of the
+length of {N(0, v_lo) > h} meet {N(delta, v_hi) > h}, delta = (y_bar - mu)
+(u_hi - u_lo), two intervals centered at 0 and delta whose overlap shrinks
+as |delta| grows.  The box is centered at y_bar, so the corner infimum is a
+function of y = |mu - y_bar| + hw, the distance to the far corner:
+N(0, a_high/n) below the crossing r, r^2 = log(a_high/a_low) a_low a_high /
+(n (a_high - a_low)), and N(0, a_low/n) past it.  So the mu factor is twice
+the integral over y >= hw.  On _PANELS equal panels of [hw, hw + 12 sd_hi],
+sd_hi = sqrt(a_high/n), with r as one more edge inside, each corner mass
+m_j is an upper-tail difference of one normal CDF and F lies between its
+edge values (_edge_bounds): 2 sum_j m_j F(far edge_j) <= mu factor <=
+2 sum_j m_j F(near edge_j), and epsilon takes the lower sum.
 
 The S infimum min(f_lo, f_hi) of the endpoint densities has a kink where
 they cross.  Both the shift m = k u^2 and the scale s2 = V u of the S law
@@ -77,32 +87,28 @@ The band mass q.  Given S = s the component's A is inverse-gamma with shape
 a1 = a + r/2 and scale beta(s) = b + r s/2; it leaves the band [T, 2c - T]
 with probability below(s) + above(s), where below(s) = Q(a1, beta(s)/T)
 falls in s and above(s) = P(a1, beta(s)/(2c - T)) rises.  So on each of the
-_S_PANELS equal panels [s_j, s_j+1] that cut [s_lo, x] and [x, s_hi] the
-tail is at most below(s_j) + above(s_j+1), and q = 1 - sum_j m_j [below(s_j)
-+ above(s_j+1)] / sum_j m_j is a lower bound on the band mass up to
-rounding, with m_j the panel's CDF difference of f_hi below s* and of f_lo
-above it (between upper tails past the median).  The edges are offsets from
-s_lo, so an s* within a float spacing of m_hi keeps its mass.
+_PANELS equal panels [s_j, s_j+1] that cut [s_lo, x] and [x, s_hi] each
+is at most its larger edge value (_edge_bounds), and q = 1 - sum_j m_j
+[below(s_j) + above(s_j+1)] / sum_j m_j is a lower bound on the band mass up
+to rounding, with m_j the panel's CDF difference of f_hi below s* and of
+f_lo above it (between upper tails past the median).  The edges are offsets
+from s_lo, so an s* within a float spacing of m_hi keeps its mass.
 
-Error budget: F, the S factor and q (as a bound) are exact up to rounding;
-the mu factor is a Gauss-Kronrod quadrature with a 1e-8 relative target,
-and every kink of its integrand is a breakpoint, so each panel is smooth.
-Against 30-digit quadratures split at the same kinks the mu factor is
-within 3e-14 at n = 100 on the default tight config.  Against 40-digit
-quadratures split at s* and around both laws' means, the S factor is within
-4e-14 from n = 5 to 6400 and 7e-14 at n = 1e6, on the tight and classic
-configs, wherever it exceeds 1e-30, and q lies below the band mass by
-4.4e-4 to 1.8e-3 of 1 - q (tight) and 1.6e-2 to 9.1e-2 (classic), from
-n = 5 to 200 at box halfwidths 0.002 to 0.3 of the center.  Truncating the
-mu and S ranges only lowers the bound.
+Error budget: there is no quadrature.  F and the S factor are closed forms
+and the mu factor and q lower sides of panel brackets, exact up to rounding.
+Against 40-digit quadratures split at s* and around both laws' means, the S
+factor is within 4e-14 from n = 5 to 6400 and 7e-14 at n = 1e6, on the
+tight and classic configs, wherever it exceeds 1e-30.  The mu bracket's
+relative gap is 1.5e-3 to 2.9e-3 at n = 100 and 1.8e-4 to 2.8e-4 at
+n = 6400 (tight), 1.8e-3 to 2.1e-3 at n = 200 (classic), at levels 2.5 to 6
+times b/(1 - lambda_T), with a 30-digit value inside it; its budget is 3e-3.
+q lies below the band mass by 4.4e-4 to 1.8e-3 of 1 - q (tight) and 1.6e-2
+to 9.1e-2 (classic), from n = 5 to 200 at box halfwidths 0.002 to 0.3 of the
+center.  Truncating the mu and S ranges only lowers the bound.
 
-Cost: a certificate makes one quadrature, of the mu factor, with its box
-constants (the corner normals' variances and normalizers, F's u_hi - u_lo,
-v_lo, v_hi, log(v_hi/v_lo) and square roots) formed once; a call forms the
-far corner and its squared distance once, for both endpoints.  On the
-default config it makes 7 integrand calls on 16 panels, at n = 100 and at
-n = 6400, at its own level or at ``sweep-n``'s, which the n = 100 row sets.
-The S factor and q take four incomplete gamma functions a panel.
+Cost: the mu factor evaluates F (its box constants formed once) at each of
+its _PANELS + 1 or + 2 edges and two normal tails a panel; the S factor and
+q take four incomplete gamma functions an edge.
 
 The S density used here is the law of the shifted, scaled chi-square part of
 the theta-update quadratic form with the O(1/sqrt(n)) data-coupled cross
@@ -121,7 +127,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
 from .hier_model import Dataset, LargeSetSpec, ModelConfig, data_center
-from .numerics import RngStream, integrate
+from .numerics import RngStream
 
 __all__ = [
     "MinorizationError",
@@ -131,9 +137,9 @@ __all__ = [
 ]
 
 
-# equal-width panels of the S range on each side of the crossing s* in the
-# band-mass bracket; 128 a side keeps every default K_bar and N_c
-_S_PANELS = 128
+# equal panels of the S range on each side of s* and of the mu factor's half
+# range; 128 keeps the mu bracket's gap within 3e-3 and K_bar within 0.1 %
+_PANELS = 128
 
 
 class MinorizationError(Exception):
@@ -242,7 +248,7 @@ def _s_crossings(m_ends, s2_ends, r: int, s_hi: float) -> list[float]:
 
 
 def _s_panels(box, ds, cfg):
-    """The S factor, and the S range cut into _S_PANELS equal panels on each
+    """The S factor, and the S range cut into _PANELS equal panels on each
     side of the crossing s*: their edges s (row 0 below s*, row 1 above) and
     the mass of inf_A f_S on each (see the module docstring)."""
     n = ds.n
@@ -257,7 +263,7 @@ def _s_panels(box, ds, cfg):
     t_hi = s_hi - s_lo
     crossings = _s_crossings(m_ends, s2_ends, n - 1, s_hi)
     t_x = crossings[0] if crossings else t_hi  # x = min(s*, s_hi) as an offset
-    t = np.array([np.linspace(0.0, t_x, _S_PANELS + 1), np.linspace(t_x, t_hi, _S_PANELS + 1)])
+    t = np.array([np.linspace(0.0, t_x, _PANELS + 1), np.linspace(t_x, t_hi, _PANELS + 1)])
 
     # the CDF and tail of f_hi, the smaller density below s*, and of f_lo
     # above (module docstring): P and Q(r/2, (r/2)(s - m_i)/s2_i)
@@ -305,41 +311,33 @@ def _theta_bar_overlap(box, ds, cfg):
     return overlap
 
 
-def _mu_integrand(box, ds, cfg):
-    """F(mu) times the infimum over box corners of N(theta_bar0, A0/n; mu),
-    as an integrand over mu, and its range (lo, hi, breakpoints): 12
-    standard deviations beyond the corner means, split at the integrand's
-    kinks.  The box constants are formed once; the far corner and its
-    squared distance once per call.
-    """
-    n = ds.n
-    tb_c, hw = box.theta_bar_center, box.halfwidth
-    a_lo, a_hi = box.a_low, box.a_high
-    overlap = _theta_bar_overlap(box, ds, cfg)
-    var_lo, var_hi = a_lo / n, a_hi / n
-    norm_lo, norm_hi = math.sqrt(2.0 * math.pi * var_lo), math.sqrt(2.0 * math.pi * var_hi)
-    sd_max = math.sqrt(a_hi / n)
-    lo = tb_c - hw - 12.0 * sd_max
-    hi = tb_c + hw + 12.0 * sd_max
-    # kinks of the corner infimum at y_far -+ r (see the module docstring)
+def _edge_bounds(f):
+    """Per panel, the smaller and the larger of f's values at its two edges,
+    from f at the edges (last axis).  Where f is monotone on a panel, rising
+    or falling, it lies between them, so for panel masses m_j >= 0 of a
+    measure, sum_j m_j lower_j <= integral of f <= sum_j m_j upper_j."""
+    left, right = f[..., :-1], f[..., 1:]
+    return np.minimum(left, right), np.maximum(left, right)
+
+
+def _mu_factor(box, ds, cfg):
+    """The mu factor's panel bracket: its lower and upper sums, the panels'
+    edges mu >= y_bar and the corner infimum's mass on each (see the module
+    docstring).  The mu factor is the lower sum."""
+    if box.theta_bar_center != ds.y_bar:
+        raise MinorizationError("the mu factor's bracket needs a box centered at y_bar")
+    n, hw, a_lo, a_hi = ds.n, box.halfwidth, box.a_low, box.a_high
+    sd_lo, sd_hi = math.sqrt(a_lo / n), math.sqrt(a_hi / n)
+    # y = |mu - y_bar| + hw, the distance to the far corner, and its kink r
+    y = hw + np.linspace(0.0, 12.0 * sd_hi, _PANELS + 1)
     r = math.sqrt(math.log(a_hi / a_lo) * (a_lo * a_hi / n) / (a_hi - a_lo))
-
-    def integrand(mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        tb_far = np.where(mu >= tb_c, tb_c - hw, tb_c + hw)
-        neg_half_sq = -0.5 * (mu - tb_far) ** 2
-        corner = np.minimum(np.exp(neg_half_sq / var_lo) / norm_lo,
-                            np.exp(neg_half_sq / var_hi) / norm_hi)
-        return corner * overlap(mu)
-
-    return integrand, (lo, hi, [tb_c - hw + r, tb_c, tb_c + hw - r])
-
-
-def _mu_factor(box, ds, cfg) -> float:
-    """Integral over mu of F(mu) times the corner infimum of N(theta_bar0,
-    A0/n; mu), truncated 12 standard deviations beyond the corner means."""
-    integrand, (lo, hi, breaks) = _mu_integrand(box, ds, cfg)
-    return integrate(integrand, lo, hi, breakpoints=breaks)
+    if hw < r < y[-1]:
+        y = np.union1d(y, r)
+    sd = np.where(y[:-1] < r, sd_hi, sd_lo)
+    mass = ndtr(-y[:-1] / sd) - ndtr(-y[1:] / sd)  # between upper tails
+    mu = ds.y_bar + (y - hw)
+    lower, upper = _edge_bounds(_theta_bar_overlap(box, ds, cfg)(mu))
+    return 2.0 * float(mass @ lower), 2.0 * float(mass @ upper), mu, mass
 
 
 def uniform_component(
@@ -351,11 +349,11 @@ def uniform_component(
     """Volume epsilon and band mass of the uniform component.
 
     epsilon is the product of the S factor (the integral of the endpoint
-    infimum of the S density, in closed form) and the mu factor (one
-    quadrature of closed-form terms), capped at 1.  The endpoint infima are
-    exact by the argument in the module docstring, which needs n >= 5
-    (smaller n raises MinorizationError, as does a volume that is not
-    positive).
+    infimum of the S density, in closed form) and the mu factor (the lower
+    side of its panel bracket), capped at 1.  The endpoint infima are exact
+    by the argument in the module docstring, which needs n >= 5 (smaller n
+    raises MinorizationError, as does a factor or a volume that is not
+    positive, naming which).
 
     The component's A-coordinate is exactly inverse-gamma with shape
     a + (n-1)/2 and scale b + (n-1)S/2 under the component's S law, so the
@@ -364,21 +362,21 @@ def uniform_component(
         integral inf_S * tail(S) / integral inf_S,
 
     where tail(S) = P(A < T) + P(A > 2*center - T) in closed form.  The
-    returned band mass is a proven lower bound on it: the ratio is bounded
-    above panel by panel, with the panel masses in closed form (see the
-    module docstring).
+    returned band mass is a proven lower bound on it, from a panel bracket
+    of the ratio with closed-form masses (see the module docstring).
     """
     s_factor, s, mass = _s_panels(box, ds, cfg)
-    eps = s_factor * _mu_factor(box, ds, cfg)
-    if not (eps > 0.0):  # so s_factor > 0 too
-        raise MinorizationError(f"degenerate small set: epsilon = {eps!r}")
+    mu_factor = _mu_factor(box, ds, cfg)[0]
+    eps = s_factor * mu_factor
+    for name, value in (("S factor", s_factor), ("mu factor", mu_factor), ("epsilon", eps)):
+        if not (value > 0.0):
+            raise MinorizationError(f"degenerate small set: {name} = {value!r}")
     a1 = cfg.prior_shape_a + 0.5 * (ds.n - 1)
     beta = cfg.prior_scale_b + 0.5 * (ds.n - 1) * s
     # A < T <=> a gamma draw > beta/T, which falls in S, and A > 2c - T <=> a
-    # draw < beta/(2c - T), which rises; so on a panel the tail is at most
-    # the first at its left edge plus the second at its right edge
-    tail = (gammaincc(a1, beta[:, :-1] / large_set.a_low)
-            + gammainc(a1, beta[:, 1:] / large_set.a_high))
+    # draw < beta/(2c - T), which rises: each at most its larger edge value
+    tail = (_edge_bounds(gammaincc(a1, beta / large_set.a_low))[1]
+            + _edge_bounds(gammainc(a1, beta / large_set.a_high))[1])
     return min(eps, 1.0), 1.0 - float(np.sum(mass * tail) / np.sum(mass))
 
 
@@ -468,7 +466,7 @@ def overlap_oracle_mc(
     the four corners plus the center by importance sampling on the exact
     one-sweep density, and returns the smallest estimate with its standard
     error.  Any two-state overlap upper-bounds the all-state infimum, so
-    this is the independent ceiling the quadrature bound must stay under.
+    this is the independent ceiling the certified volume must stay under.
     """
     if n_samples < 2:
         raise MinorizationError("need at least 2 samples")

@@ -761,21 +761,39 @@ def test_assemble_rejects_off_center_large_set():
         assemble_gibbs_bound(ds, TIGHT, large_set=LargeSetSpec(T=0.05, center=0.2), k_max=5)
 
 
-def test_assemble_makes_one_quadrature(monkeypatch):
-    # the mu factor; the S factor is a closed form and the band mass a sum
-    # over panels
-    from driftbound import minorization
+def test_assemble_makes_no_quadrature(monkeypatch):
+    # the S factor is a closed form, and the mu factor and the band mass are
+    # panel brackets; every quadrature, through numerics.integrate or any
+    # name bound to it, runs numerics._adaptive_gk
+    from driftbound import numerics
 
     calls = []
-    original = minorization.integrate
+    original = numerics._adaptive_gk
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(minorization, "integrate", counted)
+    monkeypatch.setattr(numerics, "_adaptive_gk", counted)
     assemble_gibbs_bound(tight_data(), TIGHT, k_max=5)
-    assert len(calls) == 1, calls
+    assert calls == []
+
+
+def test_rate_is_at_most_the_50_digit_rate():
+    # log(1/gamma) is lowered by its 1e-12 relative rounding budget, so it
+    # lies below the rate evaluated at 50 digits from the same constants,
+    # and gamma is taken from it
+    default = cli.load_config(None, {})
+    for ds, cfg in ((default.resolve_dataset(), default.model), (classic_data(n=200), CLASSIC)):
+        bc = assemble_gibbs_bound(ds, cfg, k_max=1).constants
+        with mp.workdps(50):
+            lam, b, d = (mp.mpf(x) for x in (bc.lambda_T, bc.b_drift, bc.d_small))
+            alpha = (1 + d) / (1 + 2 * b + lam * d)
+            log_keep = mp.log1p(-mp.mpf(bc.epsilon) * mp.mpf(bc.q_mass_lower))
+            rate = -log_keep * mp.log(alpha) / (mp.log(alpha * (1 + 2 * (lam * d + b)))
+                                                 - log_keep)
+            assert rate * (1 - mp.mpf(2e-12)) <= bc.log_inv_gamma <= rate
+        assert bc.gamma == math.exp(-bc.log_inv_gamma)
 
 
 def test_assemble_rejects_bad_data():
@@ -821,10 +839,11 @@ def test_canonical_start_is_the_default_bit_for_bit(tight_report):
 def test_bound_is_monotone_in_start_energy(tight_report):
     # at k = 10 the totals are those of the former general-start form
     # (C1 + f0)*gamma^k + C2*k(1+k)/n + C3*k/sqrt(n) + f0*k/(n*gap^2),
-    # frozen from an evaluation with the band mass from its panel bracket
+    # frozen from an evaluation with the band mass and the mu factor from
+    # their panel brackets and the rate lowered by its rounding budget
     ds, _ = tight_report
     c = data_center(ds, TIGHT)
-    frozen = (9.62683383465729, 9.729332561308265, 10.036828741261193)
+    frozen = (9.626834672107876, 9.729333399794722, 10.036829582855265)
     reports = []
     for offset, expect in zip((0.0, 0.005, 0.01), frozen):
         report = assemble_gibbs_bound(ds, TIGHT, k_max=40,

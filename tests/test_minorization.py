@@ -27,8 +27,8 @@ from driftbound.hier_model import (
 from driftbound.minorization import (
     MinorizationError,
     SmallSetBox,
+    _edge_bounds,
     _mu_factor,
-    _mu_integrand,
     _pair_overlap,
     _s_crossings,
     _s_panels,
@@ -195,23 +195,39 @@ def test_endpoint_infima_match_dense_grid(cfg, center, n):
 @pytest.mark.parametrize("cfg,center", [(TIGHT, 0.1), (CLASSIC, 2.0)],
                          ids=["tight", "classic"])
 @pytest.mark.parametrize("n", [5, 100, 6400])
-def test_certificate_mu_integrand_is_the_endpoint_infimum_bitwise(cfg, center, n):
-    # the mu quadrature integrates the corner infimum of the family the
-    # dense-grid test checks, times F(mu), bit for bit, on both sides of the
-    # box center where the far corner switches
+def test_certificate_mu_panel_masses_are_the_endpoint_infimum_integrals(cfg, center, n):
+    # each mass of the mu bracket is the integral over its panel of the
+    # corner infimum of the family the dense-grid test checks, and of its
+    # mirror image below y_bar, where the far corner switches
     ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
-    positive = 0
+    compared = 0
     for frac in (0.002, 0.02, 0.3, 0.9):
         box = SmallSetBox.from_level(n * (frac * center) ** 2, ds, cfg)
-        integrand, (lo, hi, breaks) = _mu_integrand(box, ds, cfg)
-        assert lo < min(breaks) and max(breaks) < hi
-        mu = np.linspace(lo, hi, 401)
-        expected = (_endpoint_infimum(_mu_family(box, n), box, mu)
-                    * _theta_bar_overlap(box, ds, cfg)(mu))
-        assert integrand(mu).tobytes() == expected.tobytes()
-        assert np.any(mu < box.theta_bar_center) and np.any(mu > box.theta_bar_center)
-        positive += int(np.count_nonzero(expected > 0.0))
-    assert positive > 100
+        _, _, mu, mass = _mu_factor(box, ds, cfg)
+        assert mu[0] == ds.y_bar and np.all(np.diff(mu) > 0.0)
+
+        def corner(x):
+            return float(_endpoint_infimum(_mu_family(box, n), box, x))
+
+        for lo, hi, m in zip(mu[:-1], mu[1:], mass):
+            if m < 1e-300:
+                continue
+            for a, b in ((lo, hi), (2.0 * ds.y_bar - hi, 2.0 * ds.y_bar - lo)):
+                ref, _ = sp_integrate.quad(corner, a, b, epsabs=0.0, epsrel=1e-13)
+                assert m == pytest.approx(ref, rel=1e-10, abs=0.0)
+            compared += 1
+    assert compared > 100
+
+
+def test_edge_bounds_bracket_rising_and_falling_integrals():
+    # x^2 rises and exp(-x) falls on [0, 1]; with panel masses the widths,
+    # the lower and upper sums bracket each integral, in rows of one array
+    x = np.linspace(0.0, 1.0, 17)
+    lower, upper = _edge_bounds(np.array([x**2, np.exp(-x)]))
+    assert lower.shape == upper.shape == (2, 16)
+    widths = np.diff(x)
+    for row, exact in enumerate((1.0 / 3.0, 1.0 - math.exp(-1.0))):
+        assert widths @ lower[row] < exact < widths @ upper[row]
 
 
 def _s_range(box, ds, cfg):
@@ -412,7 +428,11 @@ def test_theta_bar_overlap_matches_scipy_quad(cfg, center, n):
 
 
 def _mp_mu_factor(box, ds, cfg):
-    """The mu factor by 30-digit tanh-sinh quadrature, split at every kink."""
+    """The mu factor over the bracket's range, twice the integral over
+    0 <= x = mu - y_bar <= 12 sd_hi, with its error estimate, by 30-digit
+    Gauss-Legendre quadrature of degree 3, split at the kink, every half
+    sd_hi and, below that, every sd_lo^2/hw, the length over which the
+    corner normal falls by e at x = 0."""
     with mp.workdps(30):
         n = mp.mpf(ds.n)
         a_lo, a_hi = mp.mpf(box.a_low), mp.mpf(box.a_high)
@@ -420,21 +440,53 @@ def _mp_mu_factor(box, ds, cfg):
         sd = mp.sqrt(a_hi / n)
         r = mp.sqrt(mp.log(a_hi / a_lo) * a_lo * a_hi / (n * (a_hi - a_lo)))
 
-        def integrand(mu):
-            far = tb_c - hw if mu >= tb_c else tb_c + hw
-            corner = min(mp.npdf(mu, far, mp.sqrt(a / n)) for a in (a_lo, a_hi))
-            return corner * _mp_overlap(mu, box, ds, cfg)[0]
+        def integrand(x):
+            corner = min(mp.npdf(x + hw, 0, mp.sqrt(a / n)) for a in (a_lo, a_hi))
+            return corner * _mp_overlap(tb_c + x, box, ds, cfg)[0]
 
-        edges = sorted([tb_c - hw - 12 * sd, tb_c - hw + r, tb_c, tb_c + hw - r,
-                        tb_c + hw + 12 * sd])
-        return float(mp.quad(integrand, edges))
+        fold = a_lo / (n * hw)
+        edges = ({sd * j / 2 for j in range(25)}
+                 | {fold * j for j in range(1, 9) if fold * j < sd / 2}
+                 | ({r - hw} if 0 < r - hw < 12 * sd else set()))
+        value, err = mp.quad(integrand, sorted(edges), method="gauss-legendre", maxdegree=3,
+                             error=True)
+        return float(2 * value), float(2 * err)
 
 
-def test_mu_factor_matches_mpmath(tight100):
-    ds, _, d = tight100
+def test_mu_factor_matches_mpmath():
+    # the mu factor's bracket contains the 30-digit value, with room for its
+    # error estimate, on both models at levels 2.5 to 6 times
+    # b/(1 - lambda_T), with the gap stated in the module docstring
+    for cfg, center, n in ((TIGHT, 0.1, 100), (TIGHT, 0.1, 6400), (CLASSIC, 2.0, 200)):
+        ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+        spec = default_large_set(ds, cfg)
+        floor = drift_offset_b(ds, cfg, spec) / (1.0 - lambda_T(spec, cfg.V))
+        for mult in (2.5, 4.0, 6.0):
+            box = SmallSetBox.from_level(mult * floor, ds, cfg)
+            lower, upper, _, _ = _mu_factor(box, ds, cfg)
+            ref, err = _mp_mu_factor(box, ds, cfg)
+            assert err <= 1e-5 * ref
+            assert lower <= ref - err and ref + err <= upper
+            assert upper - lower <= 3e-3 * lower
+
+
+def test_factor_that_underflows_is_named(tight100):
+    # at halfwidth 0.9 of the center the S factor underflows to 0 while the
+    # mu factor is about 2e-19
+    ds, spec, _ = tight100
+    box = SmallSetBox.from_level(ds.n * (0.9 * 0.1) ** 2, ds, TIGHT)
+    assert _s_panels(box, ds, TIGHT)[0] == 0.0 < _mu_factor(box, ds, TIGHT)[0]
+    with pytest.raises(MinorizationError, match="S factor = 0.0"):
+        uniform_component(box, ds, TIGHT, spec)
+
+
+def test_box_off_y_bar_is_refused(tight100):
+    # the mu bracket doubles its half range by the symmetry of F about y_bar
+    ds, spec, d = tight100
     box = SmallSetBox.from_level(d, ds, TIGHT)
-    assert _mu_factor(box, ds, TIGHT) == pytest.approx(_mp_mu_factor(box, ds, TIGHT),
-                                                       rel=1e-12)
+    off = SmallSetBox(box.halfwidth, box.A_center, ds.y_bar + box.halfwidth)
+    with pytest.raises(MinorizationError, match="centered at y_bar"):
+        uniform_component(off, ds, TIGHT, spec)
 
 
 def test_epsilon_needs_n_at_least_five():
@@ -594,6 +646,9 @@ def test_certificate_invariants_over_the_model_space(v, a, b, margin, center, n,
 
     box = SmallSetBox.from_level(d, ds, cfg)
     assert 0.0 < bc.epsilon <= math.erfc(box.halfwidth / math.sqrt(2.0 * box.a_low / n))
+    lower, upper, _, _ = _mu_factor(box, ds, cfg)
+    assert lower <= upper
+    assert bc.epsilon == min(_s_panels(box, ds, cfg)[0] * lower, 1.0)
     assert 0.0 < bc.q_mass_lower <= 1.0
     q_quad = _quadrature_band_mass(box, ds, cfg, spec)
     assert bc.q_mass_lower <= q_quad + 1e-9 * (1.0 - q_quad)

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from driftbound import cli, minorization, numerics
+from driftbound import cli, numerics
+from driftbound.hier_model import expected_inv_A
 from driftbound.numerics import (
     NumericsError,
     QuadratureError,
@@ -211,16 +212,17 @@ def _captured_integrals(monkeypatch, module, run):
 
 
 @pytest.fixture(scope="module")
-def certificate_integrals(tmp_path_factory):
-    """The certificate quadrature (the mu factor) of the default config at
-    n = 100 and 6400, as the certify sweep makes it."""
-    out = tmp_path_factory.mktemp("sweep")
+def certificate_integrals():
+    """The program's own integrands, which no certificate constant uses: the
+    two half-line integrals of expected_inv_A on the default config at
+    n = 100 and 6400."""
+    cfg = cli.load_config(None, {})
     with pytest.MonkeyPatch.context() as mp:
         calls = _captured_integrals(
-            mp, minorization,
-            lambda: cli.main(["sweep-n", "--n-list", "100,6400", "--out", str(out)]),
+            mp, numerics,
+            lambda: [expected_inv_A(cfg.resolve_dataset(n), cfg.model) for n in (100, 6400)],
         )
-    assert len(calls) == 2
+    assert len(calls) == 4
     return calls
 
 
