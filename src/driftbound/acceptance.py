@@ -511,11 +511,15 @@ def criterion_7_constructions(scale: float = 1.0) -> tuple[bool, dict]:
 @_criterion("8 algebraic identities",
             "gamma identity and direct bound formula <= 1e-12 relative on 100 sets")
 def criterion_8_algebraic_identities(scale: float = 1.0) -> tuple[bool, dict]:
-    """Balanced-rate identity, and the bound against its formula written with
-    plain powers, each to 1e-12 relative."""
+    """Balanced-rate identity (1-eps*q)^r = alpha^-1 (alpha*Lambda)^r, both
+    sides without the rate's rounding budget, and the bound against its
+    formula written with plain powers, each to 1e-12 relative; and the
+    reported rate log(1/gamma), which carries the budget, at most the
+    unbudgeted -r log(1-eps*q)."""
     rng = _stream("8 parameter sets").generator
     worst_gamma = 0.0
     worst_direct = 0.0
+    rate_below = True
     for _ in range(100):
         lam = rng.uniform(0.05, 0.95)
         b = rng.uniform(0.0, 5.0)
@@ -526,8 +530,11 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> tuple[bool, dict]:
                             initial_drift_expectation=rng.uniform(0.0, 3.0))
         m = MinorizationCertificate(epsilon=eps, q_mass_lower=q)
         dc = derived_constants(p, m)
+        log_keep = math.log1p(-eps * q)
+        balanced = math.exp(dc.r * log_keep)
         other = math.exp(dc.r * math.log(dc.alpha * dc.Lambda) - math.log(dc.alpha))
-        worst_gamma = max(worst_gamma, abs(dc.gamma - other) / dc.gamma)
+        worst_gamma = max(worst_gamma, abs(balanced - other) / balanced)
+        rate_below &= dc.log_inv_gamma <= -dc.r * log_keep
         # the bound is the two-term formula of bound_core
         c0 = 1.0 + p.initial_drift_expectation + b / (1.0 - lam)
         for k in (1, 7, 40):
@@ -537,7 +544,7 @@ def criterion_8_algebraic_identities(scale: float = 1.0) -> tuple[bool, dict]:
                       / (dc.alpha ** k - dc.alpha ** rk))
             got = evaluate_bound(p, m, dc, k)
             worst_direct = max(worst_direct, abs(got - direct) / direct)
-    return (worst_gamma <= 1e-12) and (worst_direct <= 1e-12), {
+    return (worst_gamma <= 1e-12) and (worst_direct <= 1e-12) and rate_below, {
         "max_gamma_rel_err": float(worst_gamma),
         "max_direct_rel_err": float(worst_direct),
     }

@@ -139,10 +139,24 @@ def derived_constants(
     makes the two geometric factors coincide, and the identity
     gamma = (1-eps*q)^r == alpha^-1 (alpha*Lambda)^r is verified to 1e-12
     relative.  The rate log(1/gamma) = -r log(1-eps*q) is then lowered by a
-    1e-12 relative budget for its rounding, and gamma is taken from the
-    lowered rate.  A float evaluation overstates the rate by up to about
-    4e-14 on the default and classic configs; the rounding of log(alpha)
-    grows as alpha -> 1, past the budget once alpha - 1 is below about 1e-4.
+    relative budget for its rounding, and gamma is taken from the lowered
+    rate.
+
+    The budget is max(1e-12, 16u/log(alpha)) with u = 2^-53.  The float
+    alpha takes five roundings of sums of nonnegative terms, so log(alpha)
+    is off by at most 5u absolute, which is 5u/log(alpha) relative and
+    grows without bound as alpha -> 1.  Lambda takes three more roundings
+    and the product one, so log(alpha*Lambda), and with it the denominator
+    of r, is off by at most 9u/log(alpha*Lambda) <= 9u/log(alpha) relative.
+    The other roundings (the two logarithms, log1p of the rounded eps*q,
+    the quotient and the product) add a few u and the conditioning of
+    log1p(-eps*q), about 1 for small eps*q.  So the rate is off by at most
+    14u/log(alpha) plus a term independent of alpha that stays below 1e-13
+    unless eps*q is within about 1e-3 of 1; each side of the max covers the
+    sum where it is the larger.  At the default level alpha - 1 is about
+    0.01, 16u/log(alpha) is 1.8e-13, and the budget is 1e-12; the float
+    rate there is within 4e-14 of the exact one on the default and classic
+    configs.
     """
     alpha, lam_cap = derive_alpha_lambda(p)
     eps_q = m.epsilon * m.q_mass_lower
@@ -151,12 +165,15 @@ def derived_constants(
     if eps_q >= 1.0:
         raise BoundError(f"eps_q must be < 1, got {eps_q!r}")
     log_keep = math.log1p(-eps_q)  # log(1 - eps*q)
-    r = math.log(alpha) / (math.log(alpha * lam_cap) - log_keep)
+    log_alpha = math.log(alpha)
+    if not log_alpha > 0.0:
+        raise BoundError(f"alpha must exceed 1, got {alpha!r}")
+    r = log_alpha / (math.log(alpha * lam_cap) - log_keep)
     gamma = math.exp(r * log_keep)
-    other = math.exp(r * math.log(alpha * lam_cap) - math.log(alpha))
+    other = math.exp(r * math.log(alpha * lam_cap) - log_alpha)
     if abs(gamma - other) > 1e-12 * abs(gamma):
         raise BoundError("balanced-rate identity failed beyond 1e-12 relative error")
-    log_inv_gamma = -r * log_keep * (1.0 - 1e-12)
+    log_inv_gamma = -r * log_keep * (1.0 - max(1e-12, 16.0 * 2.0**-53 / log_alpha))
     return DerivedConstants(
         alpha=alpha, Lambda=lam_cap, r=r, gamma=math.exp(-log_inv_gamma),
         log_inv_gamma=log_inv_gamma,

@@ -11,6 +11,7 @@ criteria can never again draw the same bits, and pin the name and threshold
 each one reports.
 """
 
+import dataclasses
 import inspect
 import math
 import os
@@ -84,6 +85,23 @@ def test_criterion_8_fails_when_the_bound_is_off_by_1e9(monkeypatch):
     result = acceptance.criterion_8_algebraic_identities(scale=SMOKE)
     assert not result.passed
     assert result.measured["max_direct_rel_err"] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_criterion_8_fails_when_the_rate_exceeds_the_unbudgeted_rate(monkeypatch):
+    # the identity is checked without the rate's rounding budget, so the
+    # budget does not show in max_gamma_rel_err; a reported rate above the
+    # unbudgeted one fails the criterion
+    derive = acceptance.derived_constants
+
+    def raised(*args):
+        dc = derive(*args)
+        rate = dc.log_inv_gamma * (1.0 + 1e-9)
+        return dataclasses.replace(dc, log_inv_gamma=rate, gamma=math.exp(-rate))
+
+    monkeypatch.setattr(acceptance, "derived_constants", raised)
+    result = acceptance.criterion_8_algebraic_identities(scale=SMOKE)
+    assert not result.passed
+    assert result.measured["max_gamma_rel_err"] <= 1e-15
 
 
 def test_criterion_9_fails_when_the_overlap_is_below_the_certified_epsilon(monkeypatch):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from driftbound import bound_core
 from driftbound.bound_core import (
     BoundError,
     DerivedConstants,
@@ -108,6 +109,16 @@ def test_optimal_r_rejects_degenerate_mass():
         derived_constants(_params(0.5, 1.0, 10.0), Whole())
 
 
+def test_rate_that_rounding_swamps_is_refused(monkeypatch):
+    # alpha that rounds to 1 has no rate, and one ulp above 1 the rounding
+    # budget 16u/log(alpha) exceeds the rate itself: both are typed failures
+    for alpha, message in ((1.0, "alpha must exceed 1"),
+                           (1.0 + 2.0**-52, "log\\(1/gamma\\) must be positive")):
+        monkeypatch.setattr(bound_core, "derive_alpha_lambda", lambda p, a=alpha: (a, 13.0))
+        with pytest.raises(BoundError, match=message):
+            derived_constants(_params(0.5, 1.0, 10.0), MinorizationCertificate(0.5, 1.0))
+
+
 def test_balanced_identity_randomized():
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -117,8 +128,12 @@ def test_balanced_identity_randomized():
         eps_q = rng.uniform(0.005, 0.99)
         p = _params(lam, b, d)
         dc = derived_constants(p, MinorizationCertificate(epsilon=eps_q, q_mass_lower=1.0))
+        # both sides without the rate's rounding budget, which the reported
+        # gamma carries
+        balanced = math.exp(dc.r * math.log1p(-eps_q))
         other = math.exp(dc.r * math.log(dc.alpha * dc.Lambda) - math.log(dc.alpha))
-        assert abs(dc.gamma - other) <= 1e-12 * dc.gamma
+        assert abs(balanced - other) <= 1e-12 * balanced
+        assert dc.log_inv_gamma <= -dc.r * math.log1p(-eps_q)
 
 
 # ---------------------------------------------------------------------------

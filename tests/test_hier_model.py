@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftbound import cli
+from driftbound import cli, hier_model
 from driftbound.acceptance import _gibbs_sweeps
 from driftbound.bound_core import (
     DriftParameters,
@@ -529,7 +529,7 @@ def test_expected_drift_full_precision_on_the_band(cfg_name, n):
         assert abs((mp.mpf(value) - exact) / exact) <= 5e-14
 
 
-@pytest.mark.parametrize("cfg_name,n", BAND_CASES)
+@pytest.mark.parametrize("cfg_name,n", BAND_CASES + [("classic", 102_400)])
 def test_drift_offset_against_high_precision_supremum(cfg_name, n):
     ds, cfg, spec = _band_case(cfg_name, n)
     b = drift_offset_b(ds, cfg, spec)
@@ -538,23 +538,79 @@ def test_drift_offset_against_high_precision_supremum(cfg_name, n):
     assert sup <= b <= sup * (1 + mp.mpf(_B_ROUNDING))
 
 
-@pytest.mark.parametrize("cfg_name,n", BAND_CASES + [("classic", 5), ("classic", 102_400)])
-def test_drift_offset_is_the_chebyshev_object_computation(cfg_name, n):
-    # drift_offset_b runs on coefficient arrays; the same arithmetic through
-    # numpy's Chebyshev objects gives the same bits
+def _kept_roots(monkeypatch, ds, cfg, spec):
+    """The band points where drift_offset_b evaluates the gain after its
+    five nodes: the interior maxima it found."""
+    calls = []
+    original = hier_model.expected_drift
+
+    def recorded(theta_bar, A, ds, cfg):
+        calls.append(np.atleast_1d(A).copy())
+        return original(theta_bar, A, ds, cfg)
+
+    monkeypatch.setattr(hier_model, "expected_drift", recorded)
+    drift_offset_b(ds, cfg, spec)
+    monkeypatch.undo()
+    nodes = calls[0]
+    assert len(nodes) == 5 and (nodes[0], nodes[-1]) == (spec.a_low, spec.a_high)
+    assert len(calls) <= 2
+    return calls[1] if len(calls) == 2 else np.array([])
+
+
+ROOT_CASES = BAND_CASES + [("classic", 5), ("classic", 102_400)]
+
+
+@pytest.mark.parametrize("cfg_name,n", ROOT_CASES)
+def test_drift_offset_keeps_only_falling_zeros_of_the_slope(monkeypatch, cfg_name, n):
+    # every root kept is a local maximum of the gain: g' > 0 just below it
+    # and g' < 0 just above it, at 30 digits
     ds, cfg, spec = _band_case(cfg_name, n)
+    roots = _kept_roots(monkeypatch, ds, cfg, spec)
+    assert len(roots) == (cfg_name == "classic")
+    mp.mp.dps = 30
+    gain = _mp_gain(ds, cfg)
+    step = mp.mpf(1e-6) * (spec.a_high - spec.a_low)
+    for root in roots:
+        assert spec.a_low < root < spec.a_high
+        assert mp.diff(gain, root - step) > 0 > mp.diff(gain, root + step)
 
-    def gain(A):
-        f_val = drift_value_summary(ds.y_bar, A, ds, cfg)
-        return expected_drift(ds.y_bar, A, ds, cfg) - lambda_factor(A, cfg.V) * f_val
 
-    p = np.polynomial.Chebyshev.interpolate(lambda A: gain(A) * (cfg.V + A) ** 4, 4,
-                                            domain=[spec.a_low, spec.a_high])
-    v_plus_a = p.identity(domain=p.domain) + cfg.V
-    roots = (p.deriv() * v_plus_a - 4.0 * p).truncate(4).roots().real
-    inside = roots[(spec.a_low < roots) & (roots < spec.a_high)]
-    b_sup = float(np.max(gain(np.concatenate([[spec.a_low, spec.a_high], inside]))))
-    assert drift_offset_b(ds, cfg, spec) == b_sup * (1.0 + 0.5 * _B_ROUNDING)
+@pytest.mark.parametrize("cfg_name,n", ROOT_CASES)
+def test_drift_offset_misses_no_local_maximum_of_a_band_grid(monkeypatch, cfg_name, n):
+    # each local maximum of the gain on a 401-point band grid, at 30 digits,
+    # has a kept root within one grid step
+    ds, cfg, spec = _band_case(cfg_name, n)
+    roots = _kept_roots(monkeypatch, ds, cfg, spec)
+    mp.mp.dps = 30
+    gain = _mp_gain(ds, cfg)
+    lo, hi = mp.mpf(spec.a_low), mp.mpf(spec.a_high)
+    xs = [lo + (hi - lo) * mp.mpf(i) / 400 for i in range(401)]
+    vals = [gain(x) for x in xs]
+    peaks = [i for i in range(1, 400) if vals[i - 1] <= vals[i] >= vals[i + 1]]
+    for i in peaks:
+        assert any(xs[i - 1] < root < xs[i + 1] for root in roots)
+    assert len(peaks) == len(roots)
+
+
+def test_drift_offset_makes_no_numpy_polynomial_call(monkeypatch):
+    # the quartic and its cubic are plain float algebra: every function and
+    # class of numpy.polynomial, and np.roots, raises while drift_offset_b runs
+    import numpy.polynomial as npp
+
+    cases = [_band_case("classic", 100), _band_case("tight", 100)]
+    expected = [drift_offset_b(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.polynomial called")
+
+    for mod in (npp, npp.polynomial, npp.chebyshev, npp.legendre, npp.laguerre,
+                npp.hermite, npp.hermite_e, npp.polyutils):
+        for name, obj in list(vars(mod).items()):
+            if callable(obj) and getattr(obj, "__module__", "").startswith("numpy.polynomial"):
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(hier_model, "Polynomial", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    assert [drift_offset_b(*case) for case in cases] == expected
 
 
 @pytest.mark.parametrize("cfg_name,n", BAND_CASES)
@@ -780,20 +836,30 @@ def test_assemble_makes_no_quadrature(monkeypatch):
 
 
 def test_rate_is_at_most_the_50_digit_rate():
-    # log(1/gamma) is lowered by its 1e-12 relative rounding budget, so it
-    # lies below the rate evaluated at 50 digits from the same constants,
-    # and gamma is taken from it
+    # log(1/gamma) is lowered by its rounding budget, max(1e-12, 16u/log(alpha)),
+    # so it lies below the rate evaluated at 50 digits from the same
+    # constants, and gamma is taken from it; near the floor 2b/(1 - lambda)
+    # alpha tends to 1 and the budget grows with the rounding of log(alpha)
     default = cli.load_config(None, {})
     for ds, cfg in ((default.resolve_dataset(), default.model), (classic_data(n=200), CLASSIC)):
         bc = assemble_gibbs_bound(ds, cfg, k_max=1).constants
-        with mp.workdps(50):
-            lam, b, d = (mp.mpf(x) for x in (bc.lambda_T, bc.b_drift, bc.d_small))
-            alpha = (1 + d) / (1 + 2 * b + lam * d)
-            log_keep = mp.log1p(-mp.mpf(bc.epsilon) * mp.mpf(bc.q_mass_lower))
-            rate = -log_keep * mp.log(alpha) / (mp.log(alpha * (1 + 2 * (lam * d + b)))
-                                                 - log_keep)
-            assert rate * (1 - mp.mpf(2e-12)) <= bc.log_inv_gamma <= rate
-        assert bc.gamma == math.exp(-bc.log_inv_gamma)
+        floor = 2.0 * bc.b_drift / (1.0 - bc.lambda_T)
+        minor = MinorizationCertificate(epsilon=bc.epsilon, q_mass_lower=bc.q_mass_lower)
+        for d in (bc.d_small, floor * (1 + 1e-4), floor * (1 + 1e-6)):
+            dc = derived_constants(DriftParameters(lam=bc.lambda_T, b_drift=bc.b_drift,
+                                                   d_small=d), minor)
+            with mp.workdps(50):
+                lam, b, d = (mp.mpf(x) for x in (bc.lambda_T, bc.b_drift, d))
+                alpha = (1 + d) / (1 + 2 * b + lam * d)
+                log_keep = mp.log1p(-mp.mpf(bc.epsilon) * mp.mpf(bc.q_mass_lower))
+                rate = -log_keep * mp.log(alpha) / (mp.log(alpha * (1 + 2 * (lam * d + b)))
+                                                     - log_keep)
+                budget = max(mp.mpf(1e-12), 16 * mp.mpf(2) ** -53 / mp.log(alpha))
+                assert rate * (1 - 2 * budget) <= dc.log_inv_gamma <= rate
+            assert dc.gamma == math.exp(-dc.log_inv_gamma)
+        assert derived_constants(DriftParameters(lam=bc.lambda_T, b_drift=bc.b_drift,
+                                                 d_small=bc.d_small), minor).log_inv_gamma \
+            == bc.log_inv_gamma
 
 
 def test_assemble_rejects_bad_data():

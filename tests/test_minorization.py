@@ -11,6 +11,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 from scipy.stats import chi2
 
 from driftbound.bound_core import BoundError
+from driftbound.hier_model import _B_ROUNDING
 from driftbound.hier_model import (
     BoundConstants,
     LargeSetSpec,
@@ -21,7 +22,10 @@ from driftbound.hier_model import (
     default_large_set,
     default_small_set_level,
     drift_offset_b,
+    drift_value_summary,
+    expected_drift,
     lambda_T,
+    lambda_factor,
     synth_dataset,
 )
 from driftbound.minorization import (
@@ -654,3 +658,43 @@ def test_certificate_invariants_over_the_model_space(v, a, b, margin, center, n,
     assert bc.q_mass_lower <= q_quad + 1e-9 * (1.0 - q_quad)
     u = v * v + 2.0 * v * spec.T
     assert bc.lambda_T == pytest.approx((u / (u + spec.T**2)) ** 2, rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(center=_log_uniform(0.01, 10.0), v_frac=_log_uniform(0.01, 10.0),
+       a=_log_uniform(2.0, 10.0), b_frac=_log_uniform(1e-3, 10.0),
+       n=_log_uniform(5.0, 100_000.0).map(int), t_frac=st.floats(0.01, 0.9))
+def test_drift_offset_against_a_band_grid_over_the_model_space(center, v_frac, a, b_frac, n,
+                                                               t_frac):
+    # b is at least the gain's maximum on a 401-point band grid and at most
+    # that maximum, refined by golden section, raised by the whole rounding
+    # budget.  V and the prior scale are multiples of the center and the
+    # prior shape exceeds 2; there, 96 of the 200 draws have their maximum
+    # inside the band
+    cfg = ModelConfig(V=v_frac * center, prior_shape_a=a, prior_scale_b=b_frac * center,
+                      delta_margin=center)
+    try:
+        ds = synth_dataset(n, center, cfg, RngStream(7, 0), exact_center=True)
+        c = data_center(ds, cfg)
+        spec = LargeSetSpec(T=t_frac * c, center=c)
+        b = drift_offset_b(ds, cfg, spec)
+    except ModelError:
+        return
+
+    def gain(A):
+        f_val = drift_value_summary(ds.y_bar, A, ds, cfg)
+        return expected_drift(ds.y_bar, A, ds, cfg) - lambda_factor(A, cfg.V) * f_val
+
+    grid = np.linspace(spec.a_low, spec.a_high, 401)
+    values = gain(grid)
+    i = int(np.argmax(values))
+    assert b >= values[i]
+    left, right = grid[max(i - 1, 0)], grid[min(i + 1, 400)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        lower, upper = right - inv_phi * (right - left), left + inv_phi * (right - left)
+        if gain(lower) > gain(upper):
+            right = upper
+        else:
+            left = lower
+    assert b <= max(values[i], gain(0.5 * (left + right))) * (1.0 + _B_ROUNDING)
